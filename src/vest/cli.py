@@ -44,10 +44,14 @@ from .reduction import reduce_graph
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        name = "standard input" if path == "-" else path
+        raise VestError(f"{name} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -60,6 +64,11 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 def _load_graph(args) -> Graph:
     return parse_graph(_read_text(args.input), args.format)
+
+
+def _require_nonnegative(flag: str, value: int) -> None:
+    if value < 0:
+        raise VestError(f"{flag} must be >= 0, got {value}")
 
 
 def _parse_index_sequence(raw: str) -> tuple:
@@ -89,8 +98,10 @@ def run_verification(
 
     ``_corrupt`` deliberately zeroes the first coordinate of the compiled
     start vector. It exists as a negative control: a verification harness
-    that cannot fail on a sabotaged instance proves nothing.
+    that cannot fail on a sabotaged instance proves nothing. A negative
+    *k_max* raises VestError, since zero rows would match vacuously.
     """
+    _require_nonnegative("--kmax", k_max)
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = dataclasses.replace(
@@ -144,6 +155,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _require_nonnegative("--kmax", args.kmax)
     doc = loads_instance(_read_text(args.input))
     result = m_sequence(doc.instance, args.kmax, method=args.method)
     if args.json:
@@ -163,6 +175,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_domsets(args) -> int:
+    _require_nonnegative("--k", args.k)
     g = _load_graph(args)
     d_k = count_dominating_sets(g, args.k)
     print(f"D_{args.k} = {d_k}")

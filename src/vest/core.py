@@ -12,9 +12,10 @@ is immutable and pure, so values can be shared freely across workers.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -275,6 +276,10 @@ class VestInstance:
 
     ``functional_forms[i]`` is the row-action form of transformation i when
     it qualifies (detected automatically at construction), else None.
+
+    ``_engine`` holds the evaluation engine that ``vest.evaluate.engine_for``
+    builds on first use. It takes no part in equality, and
+    ``dataclasses.replace`` starts the new instance without one.
     """
 
     semiring: Semiring
@@ -282,6 +287,7 @@ class VestInstance:
     transformations: tuple
     selector: DenseMatrix
     functional_forms: tuple
+    _engine: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -356,22 +362,32 @@ def new_instance(
     return VestInstance(semiring, vv, tuple(stored), sel, tuple(forms))
 
 
+def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> str:
+    """Comma-joined ``scalar_to_string`` of *entries*. GF(2) scalars are the
+    ints 0 and 1, whose ``str`` is already that text."""
+    if semiring is Semiring.GF2:
+        return ",".join(map(str, entries))
+    return ",".join(map(scalar_to_string, entries))
+
+
 def instance_fingerprint(instance: VestInstance) -> str:
     """Short stable digest of the instance's mathematical content.
 
     Transformations with a functional form are hashed through that form, so
     dense and compact representations of the same matrix agree.
     """
+    sem = instance.semiring
     h = hashlib.sha256()
-    h.update(f"{instance.semiring.value};{instance.d};{instance.h};{instance.m};".encode())
-    h.update(",".join(scalar_to_string(e) for e in instance.v).encode())
+    h.update(f"{sem.value};{instance.d};{instance.h};{instance.m};".encode())
+    h.update(_scalars_text(sem, instance.v).encode())
     for t, form in zip(instance.transformations, instance.functional_forms):
         if form is not None:
             h.update(b"|F")
-            h.update(",".join("z" if a is None else str(a) for a in form.actions).encode())
+            # row actions are ints or None; no int's text contains "None"
+            h.update(",".join(map(str, form.actions)).replace("None", "z").encode())
         else:
             h.update(b"|D")
-            h.update(",".join(scalar_to_string(e) for row in t.rows for e in row).encode())
+            h.update(_scalars_text(sem, chain.from_iterable(t.rows)).encode())
     h.update(b"|S")
-    h.update(",".join(scalar_to_string(e) for row in instance.selector.rows for e in row).encode())
+    h.update(_scalars_text(sem, chain.from_iterable(instance.selector.rows)).encode())
     return h.hexdigest()[:16]

@@ -12,16 +12,20 @@ Three evaluation modes share one state-walking core:
 
 Instances whose start vector is 0/1 and whose transformations are all
 functional keep every reachable vector 0/1. Those run on a packed engine
-that stores each vector as an int bitmask and applies a transformation by
-OR-ing precomputed scatter masks, one per set bit. Everything else runs on
-a generic engine over tuples of exact scalars. Both engines produce
-identical counts; the packed one is just faster.
+that stores each vector as an int bitmask. Row i of a functional
+transformation copies bit ``action[i]`` to bit i, so rows that share the
+shift ``i - action[i]`` move together: a step is one masked shift per
+shift group. Everything else runs on a generic engine over tuples of exact
+scalars. Both engines produce identical counts; the packed one is just
+faster. ``engine_for`` builds an instance's engine once and keeps it on the
+instance, so every evaluation of that instance shares it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .core import (
     ResourceBound,
@@ -45,68 +49,86 @@ class IndexOutOfRange(VestError):
 class GenericEngine:
     """State walker over exact scalar tuples; works for every instance."""
 
+    __slots__ = ("_v", "_semiring", "_matrices", "_selector")
+
     def __init__(self, instance: VestInstance):
-        self.instance = instance
+        self._v = instance.v
+        self._semiring = instance.semiring
+        self._matrices = tuple(
+            t if form is None else form
+            for t, form in zip(instance.transformations, instance.functional_forms))
+        self._selector = instance.selector
 
     def initial(self) -> Vector:
-        return self.instance.v
+        return self._v
 
     def step(self, t: int, state: Vector) -> Vector:
-        inst = self.instance
-        form = inst.functional_forms[t]
-        matrix = form if form is not None else inst.transformations[t]
-        return apply(matrix, state, inst.semiring)
+        return apply(self._matrices[t], state, self._semiring)
 
     def annihilates(self, state: Vector) -> bool:
-        inst = self.instance
-        return is_zero_vector(apply(inst.selector, state, inst.semiring))
+        return is_zero_vector(apply(self._selector, state, self._semiring))
 
     def decode(self, state: Vector) -> Vector:
         return state
 
-    def annihilates_vector(self, vec: Sequence[Scalar]) -> bool:
-        return self.annihilates(tuple(vec))
+
+def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
+    """Step plan of one functional transformation: rows grouped by
+    ``shift = i - action[i]``, as (mask of source bits, shift) pairs, split
+    into left shifts (shift >= 0) and right shifts (by -shift)."""
+    groups: Dict[int, int] = {}
+    for i, j in enumerate(actions):
+        if j is not None:
+            groups[i - j] = groups.get(i - j, 0) | 1 << j
+    lefts = tuple((mask, shift) for shift, mask in groups.items() if shift >= 0)
+    rights = tuple((mask, -shift) for shift, mask in groups.items() if shift < 0)
+    return lefts, rights
+
+
+def _bit_mask(row: tuple, one: Scalar, ones: int) -> int:
+    """Bitmask of the *ones* positions where *row* holds *one*."""
+    mask, j = 0, -1
+    for _ in range(ones):
+        j = row.index(one, j + 1)
+        mask |= 1 << j
+    return mask
 
 
 class PackedEngine:
     """Bitmask state walker for 0/1 vectors under functional transformations.
 
-    A state is an int whose bit i is vector entry i. For transformation t,
-    ``masks[t][j]`` collects 1 << i over all rows i that copy column j, so a
-    step is an OR of at most popcount(state) masks. The selector test runs
-    directly on the packed state:
+    A state is an int whose bit i is vector entry i. Each transformation's
+    rows are grouped by shift (``_shift_groups``); a step ORs one
+    ``(state & mask) << shift`` per group, or ``>> -shift`` when the shift
+    is negative. A compiled vertex matrix has at most three groups. The
+    selector test runs directly on the packed state:
 
-    * selector with entries in {0, 1} over rationals: row sums are zero only
-      when no selected bit is set, so one combined mask suffices;
-    * selector with entries in {0, 1} over GF(2): each row needs even parity
-      of the selected bits;
-    * anything else: decode and fall back to generic arithmetic.
+    * entries in {0, 1}, over rationals or with at most one 1 per row: a
+      row's sum is nonzero exactly when one of its selected bits is set, so
+      one combined mask suffices ("union");
+    * entries in {0, 1} over GF(2), some row with two or more 1s: each row
+      needs even parity of its selected bits ("parity");
+    * anything else: decode and fall back to generic arithmetic ("generic").
     """
+
+    __slots__ = ("d", "_one", "_zero", "_plans", "_initial", "_mode", "_union_mask",
+                 "_row_masks", "_generic")
 
     def __init__(self, instance: VestInstance):
         if not instance.packed_ready:
             raise ValueError("instance does not qualify for the packed path")
-        self.instance = instance
+        semiring = instance.semiring
         self.d = instance.d
-        self.masks = []
-        for form in instance.functional_forms:
-            scatter = [0] * instance.d
-            for i, j in enumerate(form.actions):
-                if j is not None:
-                    scatter[j] |= 1 << i
-            self.masks.append(scatter)
+        self._one, self._zero = semiring.one, semiring.zero
+        self._plans = tuple(_shift_groups(form.actions) for form in instance.functional_forms)
+        self._initial = self.encode(instance.v)
 
-        sel = instance.selector
+        rows = instance.selector.rows
+        ones = [row.count(self._one) for row in rows]
         self._mode = "generic"
-        if all(e == 0 or e == 1 for row in sel.rows for e in row):
-            row_masks = []
-            for row in sel.rows:
-                mask = 0
-                for j, e in enumerate(row):
-                    if e == 1:
-                        mask |= 1 << j
-                row_masks.append(mask)
-            if instance.semiring is Semiring.GF2:
+        if all(c + row.count(self._zero) == len(row) for c, row in zip(ones, rows)):
+            row_masks = [_bit_mask(row, self._one, c) for row, c in zip(rows, ones)]
+            if semiring is Semiring.GF2 and max(ones) > 1:
                 self._mode = "parity"
                 self._row_masks = row_masks
             else:
@@ -115,10 +137,11 @@ class PackedEngine:
                 for mask in row_masks:
                     union |= mask
                 self._union_mask = union
-        self._generic = GenericEngine(instance)
+        else:
+            self._generic = GenericEngine(instance)
 
     def initial(self) -> int:
-        return self.encode(self.instance.v)
+        return self._initial
 
     def encode(self, vec: Sequence[Scalar]) -> int:
         state = 0
@@ -130,16 +153,16 @@ class PackedEngine:
         return state
 
     def decode(self, state: int) -> Vector:
-        one, zero = self.instance.semiring.one, self.instance.semiring.zero
+        one, zero = self._one, self._zero
         return tuple(one if state >> i & 1 else zero for i in range(self.d))
 
     def step(self, t: int, state: int) -> int:
-        scatter = self.masks[t]
+        lefts, rights = self._plans[t]
         out = 0
-        while state:
-            low = state & -state
-            out |= scatter[low.bit_length() - 1]
-            state ^= low
+        for mask, shift in lefts:
+            out |= (state & mask) << shift
+        for mask, shift in rights:
+            out |= (state & mask) >> shift
         return out
 
     def annihilates(self, state: int) -> bool:
@@ -152,15 +175,16 @@ class PackedEngine:
             return True
         return self._generic.annihilates(self.decode(state))
 
-    def annihilates_vector(self, vec: Sequence[Scalar]) -> bool:
-        return self.annihilates(self.encode(vec))
-
 
 def engine_for(instance: VestInstance):
-    """Pick the fastest engine that is exact for this instance."""
-    if instance.packed_ready:
-        return PackedEngine(instance)
-    return GenericEngine(instance)
+    """The fastest engine that is exact for this instance. It is built on the
+    first call and kept on the instance; engines hold arrays, never the
+    instance, so keeping one there forms no reference cycle."""
+    engine = instance._engine
+    if engine is None:
+        engine = PackedEngine(instance) if instance.packed_ready else GenericEngine(instance)
+        object.__setattr__(instance, "_engine", engine)
+    return engine
 
 
 def _validate_sequence(instance: VestInstance, sequence: Sequence[int]) -> Tuple[int, ...]:
@@ -194,24 +218,26 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
     """
     if k < 0:
         raise ValueError(f"sequence length must be >= 0, got {k}")
-    total = instance.m ** k
-    if total > cap:
-        raise ResourceBound(
-            f"brute force over {instance.m}**{k} = {total} sequences exceeds "
-            f"the cap of {cap}; the dedup method may still be feasible")
-    engine = engine_for(instance)
     m = instance.m
+    # m >= 1, so logarithms refuse a huge k before m**k is ever computed;
+    # the exact test then runs only on numbers of at most about 2 * cap.
+    if k * math.log2(m) > math.log2(max(cap, 1)) + 1 or m ** k > cap:
+        raise ResourceBound(
+            f"brute force over {m}**{k} sequences exceeds the cap of {cap}; "
+            f"the dedup method may still be feasible")
+    engine = engine_for(instance)
+    step, annihilates = engine.step, engine.annihilates
     count = 0
     # stack entries: (state, depth); children pushed eagerly
     stack = [(engine.initial(), 0)]
     while stack:
         state, depth = stack.pop()
         if depth == k:
-            if engine.annihilates(state):
+            if annihilates(state):
                 count += 1
             continue
         for t in range(m):
-            stack.append((engine.step(t, state), depth + 1))
+            stack.append((step(t, state), depth + 1))
     return count
 
 
@@ -219,7 +245,7 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
 class StateDistribution:
     """Multiset of states reached after ``level`` steps: state -> number of
     index sequences reaching it. States are engine-internal (packed ints or
-    scalar tuples); pair with the engine's decode when vectors are needed."""
+    scalar tuples); ``engine_for(instance).decode`` turns them into vectors."""
 
     level: int
     entries: Dict
@@ -238,14 +264,14 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     if k_max < 0:
         raise ValueError(f"maximum length must be >= 0, got {k_max}")
     engine = engine_for(instance)
-    m = instance.m
+    step, m = engine.step, instance.m
     dist = {engine.initial(): 1}
     yield StateDistribution(0, dist)
     for level in range(1, k_max + 1):
         nxt: Dict = {}
         for state, mult in dist.items():
             for t in range(m):
-                succ = engine.step(t, state)
+                succ = step(t, state)
                 nxt[succ] = nxt.get(succ, 0) + mult
         dist = nxt
         yield StateDistribution(level, dist)
@@ -253,8 +279,8 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
 
 def annihilated_mass(instance: VestInstance, dist: StateDistribution) -> int:
     """Total multiplicity of states in *dist* that the selector kills."""
-    engine = engine_for(instance)
-    return sum(mult for state, mult in dist.entries.items() if engine.annihilates(state))
+    annihilates = engine_for(instance).annihilates
+    return sum(mult for state, mult in dist.entries.items() if annihilates(state))
 
 
 def m_k_dedup(instance: VestInstance, k: int) -> int:

@@ -166,3 +166,35 @@ def test_kmax_is_required(p3_instance):
     with pytest.raises(SystemExit) as err:
         main(["eval", "-i", p3_instance])
     assert err.value.code == 2
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--kmax", "-1"],
+    ["eval", "--kmax", "-1"],
+    ["domsets", "--k", "-1"],
+])
+def test_negative_lengths_are_usage_errors(args, p3_file, p3_instance, capsys):
+    source = p3_instance if args[0] == "eval" else p3_file
+    assert main([args[0], "-i", source] + args[1:]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("3 2\n0 1\n1 2\nc café\n".encode("latin-1"))
+    for args in (["domsets", "-i", str(bad), "--k", "1"],
+                 ["verify", "-i", str(bad), "--kmax", "1"],
+                 ["eval", "-i", str(bad), "--kmax", "1"],
+                 ["check", "-i", str(bad), "--seq", "0"]):
+        assert main(args) == 2
+        _assert_one_line_error(capsys)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes()),
+                                                      encoding="utf-8"))
+    assert main(["domsets", "--k", "1"]) == 2
+    _assert_one_line_error(capsys)

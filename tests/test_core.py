@@ -19,11 +19,12 @@ from vest import (
     instance_fingerprint,
     is_zero_vector,
     new_instance,
+    reduce_graph,
     to_functional,
 )
 from vest.core import canon_vector, scalar_to_string
 
-from helpers import random_functional_matrix
+from helpers import path_graph, random_functional_matrix
 
 
 def test_rational_canon_accepts_ints_fractions_strings():
@@ -235,3 +236,16 @@ def test_fingerprint_stability_across_representations():
 def test_canon_vector():
     assert canon_vector(Semiring.GF2, [1, 0, Fraction(1)]) == (1, 0, 1)
     assert canon_vector(Semiring.RATIONAL, ["2/4"]) == (Fraction(1, 2),)
+
+
+def test_fingerprint_digests_are_pinned():
+    # digests the original implementation produced: faster hashing must not
+    # change the hashed text
+    p3 = path_graph(3)
+    assert instance_fingerprint(reduce_graph(p3, Semiring.GF2).instance) == "c856d5a204b55949"
+    assert instance_fingerprint(reduce_graph(p3, Semiring.RATIONAL).instance) == "f6a3bed1f7dc94cd"
+    q = Semiring.RATIONAL
+    inst = new_instance(q, [Fraction(1, 2), -3],
+                        [DenseMatrix([[1, Fraction(2, 3)], [0, -1]])],
+                        DenseMatrix([[Fraction(5, 7), 1]]))
+    assert instance_fingerprint(inst) == "5d141305108830cd"

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import random
+import time
+import weakref
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import vest.evaluate
 from vest import (
     DenseMatrix,
     FunctionalMatrix,
@@ -83,6 +88,18 @@ def test_bruteforce_cap():
     assert "dedup" in str(err.value)
     with pytest.raises(ValueError):
         m_k_bruteforce(inst, -1)
+
+
+def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once():
+    inst = reduce_graph(path_graph(3)).instance  # m = 3
+    assert m_k_bruteforce(inst, 4, cap=81) == m_k_dedup(inst, 4)
+    with pytest.raises(ResourceBound):
+        m_k_bruteforce(inst, 4, cap=80)
+    start = time.perf_counter()
+    for k in (10**6, 10**18, 10**100):
+        with pytest.raises(ResourceBound):
+            m_k_bruteforce(inst, k)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_level_masses_and_level_indices():
@@ -214,3 +231,108 @@ def test_m_sequence_metadata():
         m_sequence(inst, 2, method="magic")
     with pytest.raises(ValueError):
         m_sequence(inst, -1)
+
+
+def random_packed_instance(rng, d, semiring, selector_kind):
+    """0/1 start vector and functional transformations whose rows copy a
+    random source (shifts of both signs) or are zero; the selector has one
+    of three kinds: "single" (0/1 rows with at most one 1), "multi" (0/1
+    rows with two to five 1s) or "generic" ("multi" plus one entry outside
+    {0, 1})."""
+    v = tuple(rng.randint(0, 1) for _ in range(d))
+    ts = [FunctionalMatrix(tuple(None if rng.random() < 0.2 else rng.randrange(d)
+                                 for _ in range(d)))
+          for _ in range(rng.randint(1, 3))]
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        row = [0] * d
+        if selector_kind == "single":
+            if rng.random() < 0.8:
+                row[rng.randrange(d)] = 1
+        else:
+            for j in rng.sample(range(d), min(d, rng.randint(2, 5))):
+                row[j] = 1
+        rows.append(row)
+    if selector_kind == "generic":
+        rows[0][rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 2)))
+    return new_instance(semiring, v, ts, DenseMatrix(rows))
+
+
+@pytest.mark.parametrize("semiring, selector_kind, mode", [
+    (Semiring.GF2, "single", "union"),
+    (Semiring.GF2, "multi", "parity"),
+    (Semiring.RATIONAL, "single", "union"),
+    (Semiring.RATIONAL, "multi", "union"),
+    # GF(2) has no entries outside {0, 1}
+    (Semiring.RATIONAL, "generic", "generic"),
+])
+def test_packed_generic_and_brute_agree_on_random_functional_instances(
+        semiring, selector_kind, mode):
+    rng = random.Random(f"{semiring.value}:{selector_kind}")
+    for d in (2, 5, 31, 63, 64, 65, 70):
+        inst = random_packed_instance(rng, d, semiring, selector_kind)
+        packed, generic = PackedEngine(inst), GenericEngine(inst)
+        assert packed._mode == mode
+        for _ in range(20):
+            seq = [rng.randrange(inst.m) for _ in range(rng.randint(0, 6))]
+            ps, gs = packed.initial(), generic.initial()
+            for t in seq:
+                ps, gs = packed.step(t, ps), generic.step(t, gs)
+                assert packed.decode(ps) == gs
+            assert packed.annihilates(ps) == generic.annihilates(gs) == check_sequence(inst, seq)
+        counts = m_sequence(inst, 3).values
+        assert m_sequence(inst, 3, method="brute").values == counts
+        for k in range(4):
+            by_generic = 0
+            for seq in product(range(inst.m), repeat=k):
+                state = generic.initial()
+                for t in seq:
+                    state = generic.step(t, state)
+                by_generic += generic.annihilates(state)
+            assert by_generic == counts[k]
+
+
+def test_instance_builds_its_engine_once(monkeypatch):
+    built = []
+
+    class CountingEngine(PackedEngine):
+        def __init__(self, instance):
+            built.append(instance)
+            super().__init__(instance)
+
+    monkeypatch.setattr(vest.evaluate, "PackedEngine", CountingEngine)
+    inst = reduce_graph(cycle_graph(4)).instance
+    assert m_sequence(inst, 3).values == (0, 0, 12, 24)
+    assert check_sequence(inst, (0, 2))
+    assert not check_sequence(inst, (0, 0))
+    assert not check_sequence(inst, ())
+    assert len(built) == 1
+    assert engine_for(inst) is engine_for(inst)
+
+
+def test_replaced_instance_gets_a_fresh_engine():
+    # the shape of `vest verify --corrupt`: a copy with another start vector
+    inst = reduce_graph(path_graph(3)).instance
+    engine = engine_for(inst)
+    assert m_sequence(inst, 2).values == (0, 1, 6)
+    corrupt = dataclasses.replace(inst, v=(inst.semiring.zero,) + inst.v[1:])
+    assert engine_for(corrupt) is not engine
+    assert m_sequence(corrupt, 2).values != (0, 1, 6)
+    assert engine_for(inst) is engine
+
+
+def test_evaluated_instances_are_freed_without_the_cycle_collector():
+    rng = random.Random(5)
+    gc.disable()
+    try:
+        for make in (lambda: reduce_graph(path_graph(4)).instance,
+                     lambda: random_rational_instance(rng)):
+            inst = make()
+            m_sequence(inst, 2)
+            m_sequence(inst, 2, method="brute")
+            check_sequence(inst, (0,))
+            ref = weakref.ref(inst)
+            del inst
+            assert ref() is None
+    finally:
+        gc.enable()
