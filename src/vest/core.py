@@ -97,10 +97,27 @@ class Semiring(Enum):
 
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
+# A module global: reading a member through the Enum class costs about 10x more.
+_GF2 = Semiring.GF2
+
+
+_INT_ONLY = frozenset((int,))
+
+
+def is_gf2_row(row: Sequence) -> bool:
+    """True when every entry of *row* is the int 0 or the int 1 (not a bool,
+    float or Fraction), tested at C level: such a row is already canonical
+    over GF(2)."""
+    return row.count(0) + row.count(1) == len(row) and set(map(type, row)) <= _INT_ONLY
 
 
 def canon_vector(semiring: Semiring, entries: Iterable) -> Vector:
-    """Canonicalize every entry; see ``Semiring.canon``."""
+    """Canonicalize every entry; see ``Semiring.canon``. A GF(2) row of int
+    0s and 1s is returned as it is, with no per-entry pass."""
+    if semiring is _GF2:
+        entries = tuple(entries)
+        if is_gf2_row(entries):
+            return entries
     return tuple(semiring.canon(e) for e in entries)
 
 

@@ -24,7 +24,9 @@ instance, so every evaluation of that instance shares it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .core import (
@@ -75,11 +77,21 @@ class GenericEngine:
 def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
     """Step plan of one functional transformation: rows grouped by
     ``shift = i - action[i]``, as (mask of source bits, shift) pairs, split
-    into left shifts (shift >= 0) and right shifts (by -shift)."""
+    into left shifts (shift >= 0) and right shifts (by -shift).
+
+    Fixed rows (``action[i] == i``) are most rows of a compiled vertex
+    matrix. They are found at C level and form the shift-0 mask together;
+    only the other rows take a Python pass."""
+    rows = range(len(actions))
+    fixed = (1 << len(actions)) - 1
     groups: Dict[int, int] = {}
-    for i, j in enumerate(actions):
+    for i in compress(rows, map(operator.ne, actions, rows)):
+        fixed ^= 1 << i
+        j = actions[i]
         if j is not None:
             groups[i - j] = groups.get(i - j, 0) | 1 << j
+    if fixed:  # no moved row has shift 0
+        groups[0] = fixed
     lefts = tuple((mask, shift) for shift, mask in groups.items() if shift >= 0)
     rights = tuple((mask, -shift) for shift, mask in groups.items() if shift < 0)
     return lefts, rights
@@ -219,12 +231,14 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
     if k < 0:
         raise ValueError(f"sequence length must be >= 0, got {k}")
     m = instance.m
-    # m >= 1, so logarithms refuse a huge k before m**k is ever computed;
-    # the exact test then runs only on numbers of at most about 2 * cap.
-    if k * math.log2(m) > math.log2(max(cap, 1)) + 1 or m ** k > cap:
+    # Each sequence walks k steps, so k itself is held to the cap too: with
+    # m=1 there is one sequence for every k. m >= 1, so logarithms refuse a
+    # huge k before m**k is ever computed; the exact test then runs only on
+    # numbers of at most about 2 * cap.
+    if k > cap or k * math.log2(m) > math.log2(max(cap, 1)) + 1 or m ** k > cap:
         raise ResourceBound(
-            f"brute force over {m}**{k} sequences exceeds the cap of {cap}; "
-            f"the dedup method may still be feasible")
+            f"brute force over {m}**{k} sequences of length {k} exceeds the cap "
+            f"of {cap}; the dedup method may still be feasible")
     engine = engine_for(instance)
     step, annihilates = engine.step, engine.annihilates
     count = 0

@@ -198,3 +198,23 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
                                                       encoding="utf-8"))
     assert main(["domsets", "--k", "1"]) == 2
     _assert_one_line_error(capsys)
+
+
+def _bad_instance_documents(good_path, tmp_path):
+    good = json.loads(open(good_path).read())
+    broken = {
+        "deep": "[" * 100000,
+        "version3": json.dumps(dict(good, version=3)),
+        "action": json.dumps(dict(good, transformations=[{"actions": [True] * good["d"]}])),
+    }
+    for name, text in broken.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        yield str(path)
+
+
+@pytest.mark.parametrize("command", [["eval", "--kmax", "1"], ["check", "--seq", "0"]])
+def test_bad_instance_documents_are_usage_errors(command, p3_instance, tmp_path, capsys):
+    for path in _bad_instance_documents(p3_instance, tmp_path):
+        assert main([command[0], "-i", path] + command[1:]) == 2
+        _assert_one_line_error(capsys)

@@ -236,6 +236,17 @@ def test_fingerprint_stability_across_representations():
 def test_canon_vector():
     assert canon_vector(Semiring.GF2, [1, 0, Fraction(1)]) == (1, 0, 1)
     assert canon_vector(Semiring.RATIONAL, ["2/4"]) == (Fraction(1, 2),)
+    # rows of int 0s and 1s take the GF(2) fast path; anything equal to 0 or
+    # 1 but of another type goes entry by entry and comes back as ints
+    assert canon_vector(Semiring.GF2, iter([0, 1, 1])) == (0, 1, 1)
+    for row in ([True, 0], ["1", 0], [Fraction(0), 1], []):
+        out = canon_vector(Semiring.GF2, row)
+        assert out == tuple(Semiring.GF2.canon(e) for e in row)
+        assert all(type(e) is int for e in out)
+    with pytest.raises(NonBinaryEntry):
+        canon_vector(Semiring.GF2, [0, 2])
+    with pytest.raises(TypeError):
+        canon_vector(Semiring.GF2, [1.0, 0])
 
 
 def test_fingerprint_digests_are_pinned():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from vest import (
     Semiring,
     instance_fingerprint,
     new_instance,
+    parse_graph,
     reduce_graph,
 )
 from vest.documents import (
@@ -34,7 +36,9 @@ from vest.documents import (
     write_instance,
 )
 
-from helpers import path_graph, random_rational_instance
+from helpers import path_graph, random_graph, random_rational_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_rational_instance_round_trip():
@@ -51,11 +55,14 @@ def test_rational_instance_round_trip():
 
 
 def test_rationals_serialize_as_strings():
+    # a matrix that is not functional stays dense rows of exact strings
     inst = new_instance(
-        Semiring.RATIONAL, (Fraction(1, 2),), (DenseMatrix(((1,),)),), DenseMatrix(((1,),)))
+        Semiring.RATIONAL, (Fraction(1, 2), 1),
+        (DenseMatrix(((1, Fraction(-2, 3)), (0, 5))),), DenseMatrix(((1, 0),)))
     data = instance_to_dict(InstanceDocument(inst, {}))
-    assert data["v"] == ["1/2"]
-    assert data["transformations"][0] == [["1"]]
+    assert data["v"] == ["1/2", "1"]
+    assert data["transformations"][0] == [["1", "-2/3"], ["0", "5"]]
+    assert data["selector"] == [["1", "0"]]
 
 
 def test_gf2_entries_serialize_as_ints():
@@ -79,8 +86,9 @@ def test_serialization_is_byte_stable():
 def test_functional_instances_round_trip_to_equal_instances():
     inst = reduce_graph(path_graph(3)).instance
     loaded = loads_instance(dumps_instance(InstanceDocument(inst, {}))).instance
-    # stored representation differs (dense vs compact) but the content matches
-    assert not isinstance(loaded.transformations[0], FunctionalMatrix)
+    # functional transformations are written as row actions and load as such
+    assert all(isinstance(t, FunctionalMatrix) for t in loaded.transformations)
+    assert loaded.functional_forms == inst.functional_forms
     assert loaded == inst
     assert instance_fingerprint(loaded) == instance_fingerprint(inst)
 
@@ -118,7 +126,7 @@ def test_instance_document_rejections():
     with pytest.raises(DocumentError):
         loads_instance(broken(format="something-else"))
     with pytest.raises(DocumentError):
-        loads_instance(broken(version=2))
+        loads_instance(broken(version=3))
     with pytest.raises(DocumentError):
         loads_instance(broken(semiring="gf3"))
     with pytest.raises(DocumentError):
@@ -136,6 +144,105 @@ def test_instance_document_rejections():
     # gf2 document with an out-of-domain entry
     with pytest.raises(DocumentError):
         loads_instance(broken(v=[2] + good["v"][1:]))
+
+
+def _v1_text(inst, metadata) -> str:
+    """The version 1 document of *inst*: every transformation as dense rows.
+    The library no longer writes version 1; this is the reference."""
+    data = instance_to_dict(InstanceDocument(inst, metadata))
+    data["version"] = 1
+    data["transformations"] = [
+        [[e if inst.semiring is Semiring.GF2 else str(e) for e in row]
+         for row in (t.dense().rows if isinstance(t, FunctionalMatrix) else t.rows)]
+        for t in inst.transformations]
+    return dumps(data)
+
+
+@pytest.mark.parametrize("name, graph_file, fingerprint", [
+    ("p3_v1.json", None, "c856d5a204b55949"),
+    ("g6_v1.json", "g6.txt", "6a373667f9c2d8a7"),
+])
+def test_version_1_documents_still_load(name, graph_file, fingerprint):
+    # written by `vest reduce` before version 2 existed
+    text = (DATA / name).read_text()
+    assert '"version": 1' in text
+    g = path_graph(3) if graph_file is None else parse_graph((DATA / graph_file).read_text())
+    doc = loads_instance(text)
+    assert doc.instance == reduce_graph(g).instance
+    assert instance_fingerprint(doc.instance) == fingerprint
+    assert doc.metadata["source_vertices"] == g.n
+    # re-dumped as version 2, byte for byte what reduce writes today
+    assert dumps_instance(doc) == dumps_instance(InstanceDocument(reduce_graph(g).instance,
+                                                                  doc.metadata))
+
+
+def test_version_1_and_2_documents_agree():
+    rng = random.Random(44)
+    instances = [random_rational_instance(rng) for _ in range(40)]
+    for n in (1, 2, 5, 9):
+        g = random_graph(rng, n, 0.4)
+        instances += [reduce_graph(g, Semiring.GF2).instance,
+                      reduce_graph(g, Semiring.RATIONAL).instance]
+    for inst in instances:
+        v2 = dumps_instance(InstanceDocument(inst, {"n": 1}))
+        assert '"version": 2' in v2
+        from_v1 = loads_instance(_v1_text(inst, {"n": 1}))
+        from_v2 = loads_instance(v2)
+        assert from_v1.instance == from_v2.instance == inst
+        assert (instance_fingerprint(from_v1.instance) == instance_fingerprint(from_v2.instance)
+                == instance_fingerprint(inst))
+        assert dumps_instance(from_v2) == v2
+        assert dumps_instance(from_v1) == v2
+
+
+def test_compiled_documents_grow_quadratically():
+    g = random_graph(random.Random(100), 100, 0.3)
+    inst = reduce_graph(g).instance
+    text = dumps_instance(InstanceDocument(inst, {}))
+    assert len(text.encode()) < 2_000_000
+    loaded = loads_instance(text).instance
+    assert instance_fingerprint(loaded) == instance_fingerprint(inst)
+
+
+def test_version_2_transformation_rejections():
+    good = instance_to_dict(InstanceDocument(reduce_graph(path_graph(2)).instance, {}))
+    d = good["d"]
+    identity = list(range(d))
+    assert good["transformations"][0].keys() == {"actions"}
+
+    def with_first(transformation):
+        return dumps(dict(good, transformations=[transformation] + good["transformations"][1:]))
+
+    loads_instance(with_first({"actions": identity}))
+    loads_instance(with_first({"actions": [None] * d}))
+    bad = [
+        {"actions": [d] + identity[1:]},          # source out of range
+        {"actions": [-1] + identity[1:]},
+        {"actions": [True] + identity[1:]},       # bool
+        {"actions": [0.0] + identity[1:]},        # float
+        {"actions": ["0"] + identity[1:]},
+        {"actions": identity[1:]},                # wrong length
+        {"actions": identity + [0]},
+        {},                                       # missing actions
+        {"rows": identity},
+        {"actions": identity, "extra": 1},
+        {"actions": "0,1"},                       # not a list
+        {"actions": None},
+    ]
+    for transformation in bad:
+        with pytest.raises(DocumentError):
+            loads_instance(with_first(transformation))
+    # row actions are a version 2 form
+    with pytest.raises(DocumentError):
+        loads_instance(dumps(dict(good, version=1)))
+    for version in (0, 3, True, "2"):
+        with pytest.raises(DocumentError):
+            loads_instance(dumps(dict(good, version=version)))
+
+
+def test_deeply_nested_json_is_a_document_error():
+    with pytest.raises(DocumentError):
+        loads_instance("[" * 100000)
 
 
 def test_msequence_round_trip_with_large_counts():

@@ -102,6 +102,20 @@ def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_bruteforce_cap_bounds_the_walk_length():
+    # one transformation: a single sequence for every k, so only k itself
+    # can keep the walk short
+    inst = reduce_graph(path_graph(1)).instance
+    assert inst.m == 1
+    assert m_k_bruteforce(inst, 3, cap=3) == m_k_dedup(inst, 3)
+    with pytest.raises(ResourceBound):
+        m_k_bruteforce(inst, 4, cap=3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBound):
+        m_k_bruteforce(inst, 10**9)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_level_masses_and_level_indices():
     inst = reduce_graph(cycle_graph(4)).instance
     for dist in dedup_levels(inst, 5):
