@@ -6,6 +6,10 @@ tests a single index sequence, ``domsets`` counts dominating sets directly,
 and ``verify`` runs the full cross-check of sequence counts against
 factorial-scaled dominating-set counts.
 
+This module only parses arguments and renders output. Evaluation and the
+checks on values, negative lengths included, live in the library; any
+``VestError`` it raises becomes exit code 2 and a one-line ``error:``.
+
 Exit codes: 0 for success (ACCEPT, or every verification row matching),
 1 for a negative outcome (REJECT, or a verification mismatch), 2 for
 usage, input, or resource errors.
@@ -14,17 +18,12 @@ usage, input, or resource errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import math
 import sys
-from time import perf_counter
 from typing import Optional, Sequence
 
 from .core import Semiring, VestError
 from .documents import (
     InstanceDocument,
-    VerificationReport,
-    VerificationRow,
     dumps,
     dumps_instance,
     loads_instance,
@@ -32,15 +31,9 @@ from .documents import (
     verification_to_dict,
     verification_to_text,
 )
-from .evaluate import (
-    annihilated_mass,
-    check_sequence,
-    dedup_levels,
-    m_k_bruteforce,
-    m_sequence,
-)
+from .evaluate import check_sequence, m_sequence
 from .graphs import Graph, count_dominating_sets, parse_graph
-from .reduction import reduce_graph
+from .reduction import reduce_graph, run_verification
 
 
 def _read_text(path: str) -> str:
@@ -66,11 +59,6 @@ def _load_graph(args) -> Graph:
     return parse_graph(_read_text(args.input), args.format)
 
 
-def _require_nonnegative(flag: str, value: int) -> None:
-    if value < 0:
-        raise VestError(f"{flag} must be >= 0, got {value}")
-
-
 def _parse_index_sequence(raw: str) -> tuple:
     """Comma-separated indices; the empty string is the empty sequence."""
     raw = raw.strip()
@@ -84,49 +72,6 @@ def _parse_index_sequence(raw: str) -> tuple:
         except ValueError:
             raise VestError(f"sequence entry {token!r} is not an integer") from None
     return tuple(out)
-
-
-def run_verification(
-    g: Graph,
-    k_max: int,
-    semiring: Semiring = Semiring.GF2,
-    evaluator: str = "dedup",
-    _corrupt: bool = False,
-) -> VerificationReport:
-    """Compile *g*, evaluate M_0..M_k_max, and compare each against
-    k! * D_k with D_k counted independently on the graph itself.
-
-    ``_corrupt`` deliberately zeroes the first coordinate of the compiled
-    start vector. It exists as a negative control: a verification harness
-    that cannot fail on a sabotaged instance proves nothing. A negative
-    *k_max* raises VestError, since zero rows would match vacuously.
-    """
-    _require_nonnegative("--kmax", k_max)
-    instance = reduce_graph(g, semiring).instance
-    if _corrupt:
-        instance = dataclasses.replace(
-            instance, v=(semiring.zero,) + instance.v[1:])
-    rows = []
-    if evaluator == "dedup":
-        levels = dedup_levels(instance, k_max)
-        for k in range(k_max + 1):
-            start = perf_counter()
-            m_k = annihilated_mass(instance, next(levels))
-            elapsed = perf_counter() - start
-            d_k = count_dominating_sets(g, k)
-            expected = math.factorial(k) * d_k
-            rows.append(VerificationRow(k, m_k, d_k, expected, m_k == expected, elapsed))
-    elif evaluator == "brute":
-        for k in range(k_max + 1):
-            start = perf_counter()
-            m_k = m_k_bruteforce(instance, k)
-            elapsed = perf_counter() - start
-            d_k = count_dominating_sets(g, k)
-            expected = math.factorial(k) * d_k
-            rows.append(VerificationRow(k, m_k, d_k, expected, m_k == expected, elapsed))
-    else:
-        raise ValueError(f"unknown evaluator {evaluator!r}")
-    return VerificationReport(g.n, g.edge_count, semiring, evaluator, tuple(rows))
 
 
 def cmd_reduce(args) -> int:
@@ -155,7 +100,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _require_nonnegative("--kmax", args.kmax)
     doc = loads_instance(_read_text(args.input))
     result = m_sequence(doc.instance, args.kmax, method=args.method)
     if args.json:
@@ -175,7 +119,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_domsets(args) -> int:
-    _require_nonnegative("--k", args.k)
     g = _load_graph(args)
     d_k = count_dominating_sets(g, args.k)
     print(f"D_{args.k} = {d_k}")

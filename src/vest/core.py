@@ -46,6 +46,10 @@ class ResourceBound(VestError):
     """An enumeration would exceed its configured cap."""
 
 
+class NegativeLength(VestError, ValueError):
+    """A sequence length or set size below zero was asked for."""
+
+
 class Semiring(Enum):
     """Arithmetic domain tag: exact rationals ("q") or GF(2) ("gf2")."""
 
@@ -158,9 +162,6 @@ class DenseMatrix:
     def ncols(self) -> int:
         return len(self.rows[0])
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
     def __eq__(self, other):
         if isinstance(other, DenseMatrix):
             return self.rows == other.rows
@@ -212,9 +213,6 @@ class FunctionalMatrix:
                 row[j] = 1
             rows.append(tuple(row))
         return DenseMatrix(rows)
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return 1 if self.actions[i] == j else 0
 
     def __eq__(self, other):
         if isinstance(other, FunctionalMatrix):

@@ -35,6 +35,7 @@ from .core import (
     scalar_to_string,
 )
 from .evaluate import MSequenceResult
+from .reduction import VerificationReport
 
 INSTANCE_FORMAT = "vest-instance"
 MSEQUENCE_FORMAT = "vest-msequence"
@@ -90,7 +91,8 @@ def _require(obj: dict, key: str, kinds, where: str):
     if key not in obj:
         raise DocumentError(f"{where}: missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, kinds):
+    # JSON true/false load as bool, a subclass of int, and never count as one
+    if not isinstance(val, kinds) or (kinds is int and isinstance(val, bool)):
         raise DocumentError(f"{where}: key {key!r} has unexpected type {type(val).__name__}")
     return val
 
@@ -147,7 +149,7 @@ def instance_from_dict(data: dict) -> InstanceDocument:
     if fmt != INSTANCE_FORMAT:
         raise DocumentError(f"not an instance document: format is {fmt!r}")
     version = _require(data, "version", int, "document")
-    if isinstance(version, bool) or version not in INSTANCE_VERSIONS:
+    if version not in INSTANCE_VERSIONS:
         raise DocumentError(f"unsupported instance document version {version}")
     sem_tag = _require(data, "semiring", str, "document")
     try:
@@ -177,13 +179,9 @@ def instance_from_dict(data: dict) -> InstanceDocument:
     except VestError as exc:
         raise DocumentError(f"document describes an invalid instance: {exc}") from None
 
-    for key, declared, actual in (
-        ("d", data.get("d"), instance.d),
-        ("h", data.get("h"), instance.h),
-        ("m", data.get("m"), instance.m),
-    ):
-        if declared is not None and declared != actual:
-            raise DocumentError(f"document declares {key}={declared} but content has {actual}")
+    for key, actual in (("d", instance.d), ("h", instance.h), ("m", instance.m)):
+        if key in data and _require(data, key, int, "document") != actual:
+            raise DocumentError(f"document declares {key}={data[key]} but content has {actual}")
     return InstanceDocument(instance, dict(metadata))
 
 
@@ -254,32 +252,6 @@ def msequence_from_dict(data: dict) -> MSequenceResult:
         except ValueError:
             raise DocumentError(f"values[{i}]: m_k {raw!r} is not a decimal integer") from None
     return MSequenceResult(fingerprint, method, tuple(values))
-
-
-@dataclass(frozen=True)
-class VerificationRow:
-    """One length k: the sequence count, the dominating-set count, and the
-    factorial-scaled expectation they must meet."""
-
-    k: int
-    m_k: int
-    d_k: int
-    expected: int
-    passed: bool
-    seconds: float
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    vertex_count: int
-    edge_count: int
-    semiring: Semiring
-    evaluator: str
-    rows: tuple
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row.passed for row in self.rows)
 
 
 def verification_to_dict(report: VerificationReport) -> dict:

@@ -30,6 +30,7 @@ from itertools import compress
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from .core import (
+    NegativeLength,
     ResourceBound,
     Scalar,
     Semiring,
@@ -69,9 +70,6 @@ class GenericEngine:
 
     def annihilates(self, state: Vector) -> bool:
         return is_zero_vector(apply(self._selector, state, self._semiring))
-
-    def decode(self, state: Vector) -> Vector:
-        return state
 
 
 def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
@@ -229,7 +227,7 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
     is computed once per distinct prefix rather than once per sequence.
     """
     if k < 0:
-        raise ValueError(f"sequence length must be >= 0, got {k}")
+        raise NegativeLength(f"sequence length must be >= 0, got {k}")
     m = instance.m
     # Each sequence walks k steps, so k itself is held to the cap too: with
     # m=1 there is one sequence for every k. m >= 1, so logarithms refuse a
@@ -258,8 +256,8 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
 @dataclass(frozen=True)
 class StateDistribution:
     """Multiset of states reached after ``level`` steps: state -> number of
-    index sequences reaching it. States are engine-internal (packed ints or
-    scalar tuples); ``engine_for(instance).decode`` turns them into vectors."""
+    index sequences reaching it. States are engine-internal: packed ints on
+    the packed engine, scalar tuples on the generic one."""
 
     level: int
     entries: Dict
@@ -276,7 +274,7 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     of collisions. Deterministic: iteration order never affects the result.
     """
     if k_max < 0:
-        raise ValueError(f"maximum length must be >= 0, got {k_max}")
+        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     engine = engine_for(instance)
     step, m = engine.step, instance.m
     dist = {engine.initial(): 1}
@@ -318,20 +316,21 @@ class MSequenceResult:
         return len(self.values) - 1
 
 
-def m_sequence(
-    instance: VestInstance,
-    k_max: int,
-    method: str = "dedup",
-    cap: int = DEFAULT_BRUTE_CAP,
-) -> MSequenceResult:
-    """Compute M_0..M_k_max with the chosen method ("dedup" or "brute")."""
+def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Iterator[int]:
+    """M_0..M_k_max, one per ``next``: the annihilated mass of each level of
+    ``dedup_levels`` ("dedup"), or ``m_k_bruteforce`` for each length
+    ("brute"). A negative *k_max* or an unknown method is refused here, at
+    call time, before any count is made."""
     if k_max < 0:
-        raise ValueError(f"maximum length must be >= 0, got {k_max}")
+        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == "dedup":
-        values = tuple(
-            annihilated_mass(instance, dist) for dist in dedup_levels(instance, k_max))
-    elif method == "brute":
-        values = tuple(m_k_bruteforce(instance, k, cap) for k in range(k_max + 1))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+        return (annihilated_mass(instance, dist) for dist in dedup_levels(instance, k_max))
+    if method == "brute":
+        return (m_k_bruteforce(instance, k) for k in range(k_max + 1))
+    raise ValueError(f"unknown method {method!r}")
+
+
+def m_sequence(instance: VestInstance, k_max: int, method: str = "dedup") -> MSequenceResult:
+    """Compute M_0..M_k_max with the chosen method ("dedup" or "brute")."""
+    values = tuple(m_counts(instance, k_max, method))
     return MSequenceResult(instance_fingerprint(instance), method, values)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Tuple, Union
 
-from .core import ResourceBound, VestError
+from .core import NegativeLength, ResourceBound, VestError
 
 DEFAULT_SUBSET_CAP = 10**8
 
@@ -69,6 +69,7 @@ class Graph:
         return cls(n, tuple(adj), count)
 
     def closed_mask(self, u: int) -> int:
+        """Bitmask of u and its neighbors."""
         if not 0 <= u < self.n:
             raise VertexOutOfRange(f"vertex {u} outside [0, {self.n})")
         return self.adj[u] | 1 << u
@@ -96,11 +97,6 @@ def mask_vertices(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def closed_neighborhood(g: Graph, u: int) -> int:
-    """Bitmask of u and its neighbors."""
-    return g.closed_mask(u)
-
-
 def is_dominating(g: Graph, vertices: VertexSet) -> bool:
     """True when every vertex is in the set or adjacent to a member.
 
@@ -121,7 +117,7 @@ def is_dominating(g: Graph, vertices: VertexSet) -> bool:
 def count_dominating_sets(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> int:
     """Number of dominating sets of size exactly k, by direct enumeration."""
     if k < 0:
-        raise ValueError(f"set size must be >= 0, got {k}")
+        raise NegativeLength(f"set size must be >= 0, got {k}")
     if k > g.n:
         return 0
     total = math.comb(g.n, k)

@@ -17,14 +17,18 @@ dominating sets of size exactly k.
 
 All matrices built here are functional (0/1 with at most one 1 per row), so
 reduced instances always qualify for the packed evaluation path.
+``run_verification`` checks that identity on a given graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
-from .graphs import Graph, mask_vertices
+from .evaluate import m_counts
+from .graphs import Graph, count_dominating_sets, mask_vertices
 
 
 class EmptyGraph(VestError):
@@ -126,3 +130,61 @@ def reduce_graph(g: Graph, semiring: Semiring = Semiring.GF2) -> ReducedInstance
     selector = build_selector(g, layout)
     instance = new_instance(semiring, v, transformations, selector)
     return ReducedInstance(instance, layout, g.n)
+
+
+@dataclass(frozen=True)
+class VerificationRow:
+    """One length k: the sequence count, the dominating-set count, and the
+    factorial-scaled expectation they must meet."""
+
+    k: int
+    m_k: int
+    d_k: int
+    expected: int
+    passed: bool
+    seconds: float
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    vertex_count: int
+    edge_count: int
+    semiring: Semiring
+    evaluator: str
+    rows: tuple
+
+    @property
+    def all_pass(self) -> bool:
+        return all(row.passed for row in self.rows)
+
+
+def run_verification(
+    g: Graph,
+    k_max: int,
+    semiring: Semiring = Semiring.GF2,
+    evaluator: str = "dedup",
+    _corrupt: bool = False,
+) -> VerificationReport:
+    """Compile *g*, count M_0..M_k_max with *evaluator* ("dedup" or
+    "brute"), and compare each against k! * D_k. A row's ``seconds`` is the
+    time its M_k took.
+
+    ``_corrupt`` deliberately zeroes the first coordinate of the compiled
+    start vector. It exists as a negative control: a verification harness
+    that cannot fail on a sabotaged instance proves nothing. A negative
+    *k_max* raises ``NegativeLength`` from ``m_counts`` before any row
+    exists, so zero rows never pass vacuously.
+    """
+    instance = reduce_graph(g, semiring).instance
+    if _corrupt:
+        instance = replace(instance, v=(semiring.zero,) + instance.v[1:])
+    counts = m_counts(instance, k_max, evaluator)
+    rows = []
+    for k in range(k_max + 1):
+        start = perf_counter()
+        m_k = next(counts)
+        seconds = perf_counter() - start
+        d_k = count_dominating_sets(g, k)
+        expected = math.factorial(k) * d_k
+        rows.append(VerificationRow(k, m_k, d_k, expected, m_k == expected, seconds))
+    return VerificationReport(g.n, g.edge_count, semiring, evaluator, tuple(rows))

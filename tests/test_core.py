@@ -81,7 +81,7 @@ def test_scalar_to_string_round_trips():
 def test_dense_matrix_shape_checks():
     m = DenseMatrix(((1, 2), (3, 4), (5, 6)))
     assert m.nrows == 3 and m.ncols == 2
-    assert m.entry(2, 1) == 6
+    assert m.rows[2][1] == 6
     with pytest.raises(DimensionMismatch):
         DenseMatrix(((1, 2), (3,)))
     with pytest.raises(DimensionMismatch):
@@ -111,7 +111,7 @@ def test_functional_dense_expansion():
     assert f.dense().rows == ((0, 1, 0), (0, 0, 0), (1, 0, 0))
     for i in range(3):
         for j in range(3):
-            assert f.entry(i, j) == f.dense().entry(i, j)
+            assert f.dense().rows[i][j] == (1 if f.actions[i] == j else 0)
 
 
 def test_cross_representation_equality_and_hash():

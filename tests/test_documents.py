@@ -14,6 +14,8 @@ from vest import (
     FunctionalMatrix,
     MSequenceResult,
     Semiring,
+    VerificationReport,
+    VerificationRow,
     instance_fingerprint,
     new_instance,
     parse_graph,
@@ -22,8 +24,6 @@ from vest import (
 from vest.documents import (
     DocumentError,
     InstanceDocument,
-    VerificationReport,
-    VerificationRow,
     dumps,
     dumps_instance,
     instance_to_dict,
@@ -269,6 +269,25 @@ def test_msequence_rejections():
         msequence_from_dict(broken(values=[{"k": 0, "m_k": "x"}, {"k": 1, "m_k": "2"}]))
     with pytest.raises(DocumentError):
         msequence_from_dict(broken(values=["1", "2"]))
+
+
+def test_booleans_are_not_read_as_ints():
+    # JSON true loads as a bool, which Python counts as the int 1
+    good = msequence_to_dict(MSequenceResult("f" * 16, "brute", (1, 2)))
+    assert msequence_from_dict(good).values == (1, 2)
+    with pytest.raises(DocumentError):
+        msequence_from_dict(dict(good, version=True))
+    with pytest.raises(DocumentError):
+        msequence_from_dict(dict(good, values=[{"k": 0, "m_k": "1"}, {"k": True, "m_k": "2"}]))
+
+    # d = h = m = 1, so true would match each declared size
+    inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),), DenseMatrix(((1,),)))
+    data = instance_to_dict(InstanceDocument(inst, {}))
+    assert (data["d"], data["h"], data["m"]) == (1, 1, 1)
+    assert loads_instance(dumps(data)).instance == inst
+    for key in ("version", "d", "h", "m"):
+        with pytest.raises(DocumentError):
+            loads_instance(dumps(dict(data, **{key: True})))
 
 
 def _sample_report(passed=True):

@@ -17,11 +17,14 @@ from vest import (
     DenseMatrix,
     FunctionalMatrix,
     IndexOutOfRange,
+    NegativeLength,
     ResourceBound,
+    VestError,
     Semiring,
     annihilated_mass,
     check_sequence,
     dedup_levels,
+    m_counts,
     m_k_bruteforce,
     m_k_dedup,
     m_sequence,
@@ -350,3 +353,35 @@ def test_evaluated_instances_are_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("method", ["dedup", "brute"])
+def test_m_counts_refuses_bad_requests_at_call_time(method):
+    inst = reduce_graph(path_graph(3)).instance
+    # refused by the call itself, before any next()
+    with pytest.raises(NegativeLength) as info:
+        m_counts(inst, -1, method)
+    assert isinstance(info.value, VestError) and isinstance(info.value, ValueError)
+    with pytest.raises(ValueError):
+        m_counts(inst, 2, "magic")
+
+
+@pytest.mark.parametrize("method", ["dedup", "brute"])
+def test_m_counts_equal_m_sequence(method):
+    rng = random.Random(5)
+    instances = [reduce_graph(g).instance for g in (path_graph(3), cycle_graph(4))]
+    instances += [random_rational_instance(rng) for _ in range(10)]
+    for inst in instances:
+        assert tuple(m_counts(inst, 3, method)) == m_sequence(inst, 3, method).values
+
+
+def test_m_counts_is_lazy():
+    # 20000**2 sequences exceed the brute-force cap; only the third next()
+    # asks for them
+    inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * 20000,
+                        DenseMatrix(((0,),)))
+    counts = m_counts(inst, 5, "brute")
+    assert next(counts) == 1
+    assert next(counts) == 20000
+    with pytest.raises(ResourceBound):
+        next(counts)

@@ -12,7 +12,6 @@ from vest import (
     InconsistentHeader,
     ResourceBound,
     VertexOutOfRange,
-    closed_neighborhood,
     count_dominating_sets,
     is_dominating,
     parse_graph,
@@ -55,11 +54,11 @@ def test_self_loops_warn_and_drop():
 
 def test_closed_neighborhood():
     p = path_graph(4)
-    assert closed_neighborhood(p, 0) == 0b0011
-    assert closed_neighborhood(p, 1) == 0b0111
-    assert closed_neighborhood(p, 3) == 0b1100
+    assert p.closed_mask(0) == 0b0011
+    assert p.closed_mask(1) == 0b0111
+    assert p.closed_mask(3) == 0b1100
     with pytest.raises(VertexOutOfRange):
-        closed_neighborhood(p, 4)
+        p.closed_mask(4)
 
 
 def test_mask_helpers_round_trip():

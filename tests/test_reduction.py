@@ -7,7 +7,9 @@ import pytest
 from vest import (
     EmptyGraph,
     FunctionalMatrix,
+    NegativeLength,
     Semiring,
+    VestError,
     build_initial_vector,
     build_selector,
     build_vertex_action,
@@ -15,6 +17,7 @@ from vest import (
     coordinate_layout,
     m_sequence,
     reduce_graph,
+    run_verification,
     to_functional,
 )
 
@@ -131,3 +134,39 @@ def test_semiring_choice_does_not_change_counts():
 
 def test_reduce_defaults_to_gf2():
     assert reduce_graph(path_graph(2)).instance.semiring is Semiring.GF2
+
+
+def test_run_verification_on_a_path():
+    report = run_verification(path_graph(3), 3)
+    assert [row.k for row in report.rows] == [0, 1, 2, 3]
+    assert [row.m_k for row in report.rows] == [0, 1, 6, 6]
+    assert [row.d_k for row in report.rows] == [0, 1, 3, 1]
+    assert [row.expected for row in report.rows] == [0, 1, 6, 6]
+    assert report.all_pass
+    assert (report.vertex_count, report.edge_count) == (3, 2)
+    assert report.semiring is Semiring.GF2 and report.evaluator == "dedup"
+
+
+def test_run_verification_evaluators_agree():
+    for g in (path_graph(3), cycle_graph(4)):
+        for semiring in Semiring:
+            dedup = run_verification(g, 3, semiring, "dedup")
+            brute = run_verification(g, 3, semiring, "brute")
+            assert [r.m_k for r in dedup.rows] == [r.m_k for r in brute.rows]
+            assert dedup.all_pass and brute.all_pass
+            assert brute.evaluator == "brute"
+
+
+def test_run_verification_fails_on_a_corrupted_instance():
+    for evaluator in ("dedup", "brute"):
+        report = run_verification(path_graph(3), 3, evaluator=evaluator, _corrupt=True)
+        assert len(report.rows) == 4
+        assert not report.all_pass
+
+
+def test_run_verification_refuses_a_negative_length():
+    # zero rows would pass vacuously, so the request itself is refused
+    for evaluator in ("dedup", "brute"):
+        with pytest.raises(NegativeLength) as info:
+            run_verification(path_graph(3), -1, evaluator=evaluator)
+        assert isinstance(info.value, VestError)
