@@ -8,7 +8,8 @@ factorial-scaled dominating-set counts.
 
 This module only parses arguments and renders output. Evaluation and the
 checks on values, negative lengths included, live in the library; any
-``VestError`` it raises becomes exit code 2 and a one-line ``error:``.
+``VestError`` it raises becomes exit code 2 and a one-line ``error:``, and
+so does an input too large to allocate (``MemoryError``).
 
 Exit codes: 0 for success (ACCEPT, or every verification row matching),
 1 for a negative outcome (REJECT, or a verification mismatch), 2 for
@@ -224,11 +225,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VestError as exc:
+    except (VestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory: the input asks for more than can be allocated",
+              file=sys.stderr)
         return 2
 
 

@@ -88,16 +88,6 @@ class Semiring(Enum):
             return 1
         raise NonBinaryEntry(f"GF(2) entry must be 0 or 1, got {value!r}")
 
-    def add(self, a: Scalar, b: Scalar) -> Scalar:
-        if self is Semiring.RATIONAL:
-            return a + b
-        return (a + b) & 1
-
-    def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        if self is Semiring.RATIONAL:
-            return a * b
-        return a & b
-
 
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
@@ -256,35 +246,6 @@ def to_functional(matrix: Matrix) -> Optional[FunctionalMatrix]:
     return FunctionalMatrix(actions)
 
 
-def apply(matrix: Matrix, x: Sequence[Scalar], semiring: Semiring = Semiring.RATIONAL) -> Vector:
-    """Exact matrix-vector product in *semiring*.
-
-    The functional path computes each output entry as 0 or a copied input
-    entry, with no additions; the dense path folds each row with the
-    semiring's add/mul.
-    """
-    if isinstance(matrix, FunctionalMatrix):
-        if matrix.dim != len(x):
-            raise DimensionMismatch(f"matrix has {matrix.dim} columns, vector has {len(x)}")
-        zero = semiring.zero
-        return tuple(zero if j is None else x[j] for j in matrix.actions)
-    if matrix.ncols != len(x):
-        raise DimensionMismatch(f"matrix has {matrix.ncols} columns, vector has {len(x)}")
-    add, mul, zero = semiring.add, semiring.mul, semiring.zero
-    out = []
-    for row in matrix.rows:
-        acc = zero
-        for coeff, xj in zip(row, x):
-            if coeff != 0 and xj != 0:
-                acc = add(acc, mul(coeff, xj))
-        out.append(acc)
-    return tuple(out)
-
-
-def is_zero_vector(x: Sequence[Scalar]) -> bool:
-    return all(e == 0 for e in x)
-
-
 @dataclass(frozen=True)
 class VestInstance:
     """A validated instance: start vector, m square transformations, selector.
@@ -322,8 +283,9 @@ class VestInstance:
 
     @property
     def packed_ready(self) -> bool:
-        """True when the bitset evaluation path applies: 0/1 start vector and
-        every transformation functional (trajectories then stay 0/1)."""
+        """True when every trajectory stays 0/1: 0/1 start vector and every
+        transformation functional. The packed engine also needs a 0/1
+        selector."""
         return self.all_functional and all(e == 0 or e == 1 for e in self.v)
 
 

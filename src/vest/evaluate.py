@@ -10,15 +10,16 @@ Three evaluation modes share one state-walking core:
   reach the same vector, so the cost scales with distinct states rather
   than with m**k.
 
-Instances whose start vector is 0/1 and whose transformations are all
-functional keep every reachable vector 0/1. Those run on a packed engine
+Instances with a 0/1 start vector, functional transformations and a 0/1
+selector keep every reachable vector 0/1. Those run on a packed engine
 that stores each vector as an int bitmask. Row i of a functional
 transformation copies bit ``action[i]`` to bit i, so rows that share the
 shift ``i - action[i]`` move together: a step is one masked shift per
-shift group. Everything else runs on a generic engine over tuples of exact
-scalars. Both engines produce identical counts; the packed one is just
-faster. ``engine_for`` builds an instance's engine once and keeps it on the
-instance, so every evaluation of that instance shares it.
+shift group. Every other instance runs on a generic engine over tuples of
+ints, scaled once from its rationals. Both engines produce identical
+counts; the packed one is just faster. ``engine_for`` builds an instance's
+engine once and keeps it on the instance, so every evaluation of that
+instance shares it.
 """
 
 from __future__ import annotations
@@ -34,12 +35,9 @@ from .core import (
     ResourceBound,
     Scalar,
     Semiring,
-    Vector,
     VestError,
     VestInstance,
-    apply,
     instance_fingerprint,
-    is_zero_vector,
 )
 
 DEFAULT_BRUTE_CAP = 10**8
@@ -49,27 +47,58 @@ class IndexOutOfRange(VestError):
     pass
 
 
-class GenericEngine:
-    """State walker over exact scalar tuples; works for every instance."""
+def _integral(rows: Sequence[Sequence[Scalar]]) -> Tuple[Tuple[int, ...], ...]:
+    """*rows* scaled by the lcm of every denominator in them: int rows that
+    are a positive multiple of the matrix they came from."""
+    scale = math.lcm(*(e.denominator for row in rows for e in row))
+    return tuple(tuple(e.numerator * (scale // e.denominator) for e in row) for row in rows)
 
-    __slots__ = ("_v", "_semiring", "_matrices", "_selector")
+
+class GenericEngine:
+    """State walker over int tuples; serves every instance that the packed
+    engine does not take.
+
+    Over the rationals the start vector and each dense transformation are
+    scaled once to ints, each by the lcm of its denominators, and each
+    selector row by its own lcm. A state is then a positive multiple of the
+    exact vector, which changes no verdict: ``S(cx) = 0`` exactly when
+    ``Sx = 0``, and ``T(cx) = cTx``. Over GF(2) entries are already the ints
+    0 and 1, and every sum is taken mod 2: ``& 1``. Over the rationals the
+    same ``& mask`` is ``& -1``, which keeps every int as it is.
+    """
+
+    __slots__ = ("_initial", "_rows", "_sources", "_selector", "_mask")
 
     def __init__(self, instance: VestInstance):
-        self._v = instance.v
-        self._semiring = instance.semiring
-        self._matrices = tuple(
-            t if form is None else form
-            for t, form in zip(instance.transformations, instance.functional_forms))
-        self._selector = instance.selector
+        gf2 = instance.semiring is Semiring.GF2
+        # GF(2) entries are already ints; tuple() of a tuple is that tuple
+        integral = tuple if gf2 else _integral
+        self._mask = 1 if gf2 else -1
+        self._initial = integral((instance.v,))[0]
+        forms = instance.functional_forms
+        # a functional transformation copies entries: row i reads entry
+        # sources[i], and a zero row reads the 0 that step appends at -1
+        self._sources = tuple(
+            None if form is None else tuple(-1 if j is None else j for j in form.actions)
+            for form in forms)
+        self._rows = tuple(
+            integral(t.rows) if form is None else None
+            for t, form in zip(instance.transformations, forms))
+        self._selector = tuple(integral((row,))[0] for row in instance.selector.rows)
 
-    def initial(self) -> Vector:
-        return self._v
+    def initial(self) -> Tuple[int, ...]:
+        return self._initial
 
-    def step(self, t: int, state: Vector) -> Vector:
-        return apply(self._matrices[t], state, self._semiring)
+    def step(self, t: int, state: Tuple[int, ...]) -> Tuple[int, ...]:
+        rows = self._rows[t]
+        if rows is None:
+            return tuple(map((state + (0,)).__getitem__, self._sources[t]))
+        mask = self._mask
+        return tuple([sum(map(operator.mul, row, state)) & mask for row in rows])
 
-    def annihilates(self, state: Vector) -> bool:
-        return is_zero_vector(apply(self._selector, state, self._semiring))
+    def annihilates(self, state: Tuple[int, ...]) -> bool:
+        mask = self._mask
+        return not any(sum(map(operator.mul, row, state)) & mask for row in self._selector)
 
 
 def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
@@ -105,66 +134,48 @@ def _bit_mask(row: tuple, one: Scalar, ones: int) -> int:
 
 
 class PackedEngine:
-    """Bitmask state walker for 0/1 vectors under functional transformations.
+    """Bitmask state walker for a 0/1 start vector, functional
+    transformations and a 0/1 selector.
 
     A state is an int whose bit i is vector entry i. Each transformation's
     rows are grouped by shift (``_shift_groups``); a step ORs one
     ``(state & mask) << shift`` per group, or ``>> -shift`` when the shift
     is negative. A compiled vertex matrix has at most three groups. The
-    selector test runs directly on the packed state:
-
-    * entries in {0, 1}, over rationals or with at most one 1 per row: a
-      row's sum is nonzero exactly when one of its selected bits is set, so
-      one combined mask suffices ("union");
-    * entries in {0, 1} over GF(2), some row with two or more 1s: each row
-      needs even parity of its selected bits ("parity");
-    * anything else: decode and fall back to generic arithmetic ("generic").
+    selector test runs directly on the packed state. A row with at most one
+    1, or any row over the rationals, sums to nonzero exactly when one of
+    its selected bits is set, so all such rows share one union mask. A GF(2)
+    row with two or more 1s needs even parity of its selected bits. Any
+    other instance raises ``ValueError``; ``engine_for`` gives it a
+    ``GenericEngine``.
     """
 
-    __slots__ = ("d", "_one", "_zero", "_plans", "_initial", "_mode", "_union_mask",
-                 "_row_masks", "_generic")
+    __slots__ = ("_plans", "_initial", "_union_mask", "_parity_masks")
 
     def __init__(self, instance: VestInstance):
         if not instance.packed_ready:
             raise ValueError("instance does not qualify for the packed path")
         semiring = instance.semiring
-        self.d = instance.d
-        self._one, self._zero = semiring.one, semiring.zero
-        self._plans = tuple(_shift_groups(form.actions) for form in instance.functional_forms)
-        self._initial = self.encode(instance.v)
-
+        one, zero = semiring.one, semiring.zero
         rows = instance.selector.rows
-        ones = [row.count(self._one) for row in rows]
-        self._mode = "generic"
-        if all(c + row.count(self._zero) == len(row) for c, row in zip(ones, rows)):
-            row_masks = [_bit_mask(row, self._one, c) for row, c in zip(rows, ones)]
-            if semiring is Semiring.GF2 and max(ones) > 1:
-                self._mode = "parity"
-                self._row_masks = row_masks
+        ones = [row.count(one) for row in rows]
+        if any(c + row.count(zero) != len(row) for c, row in zip(ones, rows)):
+            raise ValueError("selector has an entry outside {0, 1}")
+        self._plans = tuple(_shift_groups(form.actions) for form in instance.functional_forms)
+        initial = 0
+        for i in compress(range(instance.d), instance.v):
+            initial |= 1 << i
+        self._initial = initial
+        union, parity = 0, []
+        for row, c in zip(rows, ones):
+            mask = _bit_mask(row, one, c)
+            if c > 1 and semiring is Semiring.GF2:
+                parity.append(mask)
             else:
-                self._mode = "union"
-                union = 0
-                for mask in row_masks:
-                    union |= mask
-                self._union_mask = union
-        else:
-            self._generic = GenericEngine(instance)
+                union |= mask
+        self._union_mask, self._parity_masks = union, tuple(parity)
 
     def initial(self) -> int:
         return self._initial
-
-    def encode(self, vec: Sequence[Scalar]) -> int:
-        state = 0
-        for i, e in enumerate(vec):
-            if e == 1:
-                state |= 1 << i
-            elif e != 0:
-                raise ValueError(f"entry {i} is not 0/1: {e!r}")
-        return state
-
-    def decode(self, state: int) -> Vector:
-        one, zero = self._one, self._zero
-        return tuple(one if state >> i & 1 else zero for i in range(self.d))
 
     def step(self, t: int, state: int) -> int:
         lefts, rights = self._plans[t]
@@ -176,14 +187,12 @@ class PackedEngine:
         return out
 
     def annihilates(self, state: int) -> bool:
-        if self._mode == "union":
-            return self._union_mask & state == 0
-        if self._mode == "parity":
-            for mask in self._row_masks:
-                if (mask & state).bit_count() & 1:
-                    return False
-            return True
-        return self._generic.annihilates(self.decode(state))
+        if self._union_mask & state:
+            return False
+        for mask in self._parity_masks:
+            if (mask & state).bit_count() & 1:
+                return False
+        return True
 
 
 def engine_for(instance: VestInstance):
@@ -192,7 +201,10 @@ def engine_for(instance: VestInstance):
     instance, so keeping one there forms no reference cycle."""
     engine = instance._engine
     if engine is None:
-        engine = PackedEngine(instance) if instance.packed_ready else GenericEngine(instance)
+        try:
+            engine = PackedEngine(instance)
+        except ValueError:  # not 0/1 throughout
+            engine = GenericEngine(instance)
         object.__setattr__(instance, "_engine", engine)
     return engine
 
@@ -257,7 +269,10 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
 class StateDistribution:
     """Multiset of states reached after ``level`` steps: state -> number of
     index sequences reaching it. States are engine-internal: packed ints on
-    the packed engine, scalar tuples on the generic one."""
+    the packed engine, int tuples on the generic one. Over the rationals a
+    generic state is a positive multiple of the exact vector, so states
+    that are multiples of each other may stay apart; counts are exact
+    either way."""
 
     level: int
     entries: Dict

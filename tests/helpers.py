@@ -1,8 +1,9 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own data structures:
-``naive_dominating_count`` works on plain sets and ``dense_product`` on raw
-tuples, so they cannot inherit a bug from the code under test.
+``naive_dominating_count`` works on plain sets, ``dense_product`` on raw
+tuples and ``Reference`` on plain ``Fraction`` tuples, so they cannot
+inherit a bug from the code under test.
 """
 
 from __future__ import annotations
@@ -118,3 +119,53 @@ def random_rational_instance(rng, max_d: int = 4, max_m: int = 3, max_h: int = 3
 def random_functional_matrix(rng, d: int) -> FunctionalMatrix:
     choices = [None] + list(range(d))
     return FunctionalMatrix(tuple(rng.choice(choices) for _ in range(d)))
+
+
+class Reference:
+    """Plain-``Fraction`` walk of an instance, read without vest's code: each
+    matrix row is kept as its nonzero (column, coefficient) pairs, and each
+    product is reduced mod 2 over GF(2)."""
+
+    def __init__(self, instance: VestInstance):
+        self.m = instance.m
+        self._gf2 = instance.semiring is Semiring.GF2
+        self._start = tuple(Fraction(e) for e in instance.v)
+        self._steps = [self._rows(t) for t in instance.transformations]
+        self._selector = self._rows(instance.selector)
+
+    @staticmethod
+    def _rows(matrix):
+        if isinstance(matrix, FunctionalMatrix):
+            return [[] if j is None else [(j, Fraction(1))] for j in matrix.actions]
+        return [[(j, Fraction(e)) for j, e in enumerate(row) if e != 0] for row in matrix.rows]
+
+    def _product(self, rows, x):
+        out = tuple(sum((a * x[j] for j, a in row), Fraction(0)) for row in rows)
+        return tuple(e % 2 for e in out) if self._gf2 else out
+
+    def step(self, t: int, x: tuple) -> tuple:
+        return self._product(self._steps[t], x)
+
+    def killed(self, x: tuple) -> bool:
+        return not any(self._product(self._selector, x))
+
+    def accepts(self, sequence: Iterable[int]) -> bool:
+        x = self._start
+        for t in sequence:
+            x = self.step(t, x)
+        return self.killed(x)
+
+    def counts(self, k_max: int) -> Tuple[int, ...]:
+        """M_0..M_k_max by merging sequences that reach the same exact vector."""
+        level = {self._start: 1}
+        counts = []
+        for k in range(k_max + 1):
+            if k:
+                nxt = {}
+                for x, mult in level.items():
+                    for t in range(self.m):
+                        y = self.step(t, x)
+                        nxt[y] = nxt.get(y, 0) + mult
+                level = nxt
+            counts.append(sum(mult for x, mult in level.items() if self.killed(x)))
+        return tuple(counts)

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
 from vest.cli import main
-from vest.documents import loads_instance
+from vest.documents import dumps_instance, loads_instance
+
+from helpers import Reference
 
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
 P3_DIMACS = "c path\np edge 3 2\ne 1 2\ne 2 3\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -79,6 +83,21 @@ def test_eval_output_file(p3_instance, tmp_path):
     out = tmp_path / "counts.txt"
     assert main(["eval", "-i", p3_instance, "--kmax", "1", "-o", str(out)]) == 0
     assert out.read_text() == "M_0 = 0\nM_1 = 1\n"
+
+
+def test_rational_fixture_counts_are_pinned(capsys):
+    # q_small.json has fractional entries and dense non-functional
+    # transformations; CI diffs the same eval output against q_small_m4.txt
+    text = (DATA / "q_small.json").read_text()
+    doc = loads_instance(text)
+    assert dumps_instance(doc) == text
+    assert Reference(doc.instance).counts(4) == (0, 2, 5, 14, 41)
+    pinned = (DATA / "q_small_m4.txt").read_text()
+    assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 2, 5, 14, 41)))
+    for method in ("dedup", "brute"):
+        assert main(["eval", "-i", str(DATA / "q_small.json"), "--kmax", "4",
+                     "--method", method]) == 0
+        assert capsys.readouterr().out == pinned
 
 
 def test_check_accept_and_reject(p3_instance, capsys):
@@ -218,3 +237,18 @@ def test_bad_instance_documents_are_usage_errors(command, p3_instance, tmp_path,
     for path in _bad_instance_documents(p3_instance, tmp_path):
         assert main([command[0], "-i", path] + command[1:]) == 2
         _assert_one_line_error(capsys)
+
+
+# 10**12 vertices: the adjacency list alone would take 8 TB, so allocating
+# it fails at once
+HUGE_GRAPHS = {"edgelist": "1000000000000 0\n", "dimacs": "p edge 1000000000000 0\n"}
+
+
+@pytest.mark.parametrize("fmt", HUGE_GRAPHS)
+@pytest.mark.parametrize("command", [["domsets", "--k", "1"], ["verify", "--kmax", "1"],
+                                     ["reduce"]])
+def test_graph_too_large_to_allocate_is_a_usage_error(command, fmt, tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_GRAPHS[fmt])
+    assert main([command[0], "-i", str(path), "--format", fmt] + command[1:]) == 2
+    _assert_one_line_error(capsys)

@@ -33,7 +33,15 @@ from vest import (
 )
 from vest.evaluate import GenericEngine, PackedEngine, engine_for
 
-from helpers import cycle_graph, edgeless_graph, path_graph, random_rational_instance
+from helpers import (
+    Reference,
+    cycle_graph,
+    edgeless_graph,
+    path_graph,
+    random_functional_matrix,
+    random_rational_instance,
+    random_scalar,
+)
 
 # single isolated vertex, compiled: accepts exactly the sequence (0)
 K1 = reduce_graph(edgeless_graph(1)).instance
@@ -156,6 +164,15 @@ def test_semirings_disagree_when_parity_matters():
     assert m_sequence(over_gf2, 2).values == (1, 1, 1)
 
 
+def _unpack(state, d):
+    """The 0/1 vector a packed state stands for: bit i is entry i."""
+    return tuple(state >> i & 1 for i in range(d))
+
+
+def _pack(vector):
+    return sum(1 << i for i, e in enumerate(vector) if e == 1)
+
+
 def test_packed_engine_selected_for_compiled_instances():
     inst = reduce_graph(path_graph(4)).instance
     assert isinstance(engine_for(inst), PackedEngine)
@@ -170,14 +187,20 @@ def test_packed_engine_rejects_unqualified_instances():
         DenseMatrix(((1,),)))
     with pytest.raises(ValueError):
         PackedEngine(inst)
+    # 0/1 trajectories, but a selector entry outside {0, 1}
+    inst = new_instance(
+        Semiring.RATIONAL, (1,), (FunctionalMatrix((0,)),), DenseMatrix(((2,),)))
+    with pytest.raises(ValueError):
+        PackedEngine(inst)
+    assert isinstance(engine_for(inst), GenericEngine)
 
 
 def test_packed_encode_decode_round_trip():
     inst = reduce_graph(path_graph(3)).instance
     engine = PackedEngine(inst)
     state = engine.initial()
-    assert engine.decode(state) == inst.v
-    assert engine.encode(engine.decode(state)) == state
+    assert _unpack(state, inst.d) == inst.v
+    assert _pack(_unpack(state, inst.d)) == state
 
 
 def test_engines_agree_step_by_step():
@@ -191,7 +214,7 @@ def test_engines_agree_step_by_step():
             ps, gs = packed.initial(), generic.initial()
             for t in seq:
                 ps, gs = packed.step(t, ps), generic.step(t, gs)
-            assert packed.decode(ps) == gs
+            assert _unpack(ps, inst.d) == gs
             assert packed.annihilates(ps) == generic.annihilates(gs)
 
 
@@ -214,7 +237,8 @@ def test_engines_agree_on_gf2_parity_selectors():
 
 
 def test_packed_generic_selector_fallback():
-    # selector entries outside {0, 1} force the packed engine to decode
+    # a selector entry outside {0, 1} sends a 0/1 functional instance to the
+    # generic engine
     rng = random.Random(23)
     for _ in range(30):
         d = rng.randint(1, 5)
@@ -225,15 +249,15 @@ def test_packed_generic_selector_fallback():
                 for _ in range(rng.randint(1, 2))]
         rows[0][0] = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 2)))
         inst = new_instance(Semiring.RATIONAL, v, ts, DenseMatrix(rows))
-        packed, generic = PackedEngine(inst), GenericEngine(inst)
-        assert packed._mode == "generic"
+        assert isinstance(engine_for(inst), GenericEngine)
+        with pytest.raises(ValueError):
+            PackedEngine(inst)
+        ref = Reference(inst)
+        expected = ref.counts(2)
         for k in range(3):
-            assert m_k_bruteforce(inst, k) == m_k_dedup(inst, k)
+            assert m_k_bruteforce(inst, k) == m_k_dedup(inst, k) == expected[k]
         for seq in product(range(inst.m), repeat=2):
-            ps, gs = packed.initial(), generic.initial()
-            for t in seq:
-                ps, gs = packed.step(t, ps), generic.step(t, gs)
-            assert packed.annihilates(ps) == generic.annihilates(gs)
+            assert check_sequence(inst, seq) == ref.accepts(seq)
 
 
 def test_m_sequence_metadata():
@@ -280,24 +304,31 @@ def random_packed_instance(rng, d, semiring, selector_kind):
     (Semiring.GF2, "multi", "parity"),
     (Semiring.RATIONAL, "single", "union"),
     (Semiring.RATIONAL, "multi", "union"),
-    # GF(2) has no entries outside {0, 1}
+    # GF(2) has no entries outside {0, 1}; such a selector leaves the
+    # packed engine
     (Semiring.RATIONAL, "generic", "generic"),
 ])
 def test_packed_generic_and_brute_agree_on_random_functional_instances(
         semiring, selector_kind, mode):
+    engine_kind = GenericEngine if mode == "generic" else PackedEngine
     rng = random.Random(f"{semiring.value}:{selector_kind}")
     for d in (2, 5, 31, 63, 64, 65, 70):
         inst = random_packed_instance(rng, d, semiring, selector_kind)
-        packed, generic = PackedEngine(inst), GenericEngine(inst)
-        assert packed._mode == mode
+        engine = engine_for(inst)
+        assert isinstance(engine, engine_kind)
+        generic, ref = GenericEngine(inst), Reference(inst)
         for _ in range(20):
             seq = [rng.randrange(inst.m) for _ in range(rng.randint(0, 6))]
-            ps, gs = packed.initial(), generic.initial()
+            verdict = check_sequence(inst, seq)
+            assert verdict == ref.accepts(seq)
+            es, gs = engine.initial(), generic.initial()
             for t in seq:
-                ps, gs = packed.step(t, ps), generic.step(t, gs)
-                assert packed.decode(ps) == gs
-            assert packed.annihilates(ps) == generic.annihilates(gs) == check_sequence(inst, seq)
+                es, gs = engine.step(t, es), generic.step(t, gs)
+                if engine_kind is PackedEngine:
+                    assert _unpack(es, d) == gs
+            assert engine.annihilates(es) == generic.annihilates(gs) == verdict
         counts = m_sequence(inst, 3).values
+        assert counts == ref.counts(3)
         assert m_sequence(inst, 3, method="brute").values == counts
         for k in range(4):
             by_generic = 0
@@ -307,6 +338,116 @@ def test_packed_generic_and_brute_agree_on_random_functional_instances(
                     state = generic.step(t, state)
                 by_generic += generic.annihilates(state)
             assert by_generic == counts[k]
+
+
+def _is_positive_multiple(state, exact, semiring):
+    """True when the int *state* is c * *exact* for one c > 0; over GF(2),
+    c must be 1."""
+    if semiring is Semiring.GF2:
+        return state == exact
+    pivot = next((j for j, e in enumerate(exact) if e), None)
+    if pivot is None:
+        return not any(state)
+    c = Fraction(state[pivot]) / exact[pivot]
+    return c > 0 and all(s == c * e for s, e in zip(state, exact))
+
+
+def test_generic_steps_match_exact_products():
+    # (matrix, start vector, semiring): dense GF(2), where ((1,1),(0,1))
+    # takes (1,1) to exactly (0,1), dense rational, and a functional copy
+    # pattern on a vector that is not 0/1
+    cases = [
+        (DenseMatrix(((1, 1), (0, 1))), (1, 1), Semiring.GF2),
+        (DenseMatrix(((1, 1), (0, 1))), (1, 0), Semiring.GF2),
+        (DenseMatrix(((Fraction(1, 2), 2), (0, Fraction(-1, 3)))), (4, 3), Semiring.RATIONAL),
+        (FunctionalMatrix((1, 2, 2)), (0, 0, 2), Semiring.RATIONAL),
+        (FunctionalMatrix((None, 0)), (Fraction(-5, 2), 1), Semiring.RATIONAL),
+    ]
+    for matrix, v, semiring in cases:
+        inst = new_instance(semiring, v, (matrix,), DenseMatrix((tuple(1 for _ in v),)))
+        engine, ref = engine_for(inst), Reference(inst)
+        assert isinstance(engine, GenericEngine)
+        exact = ref.step(0, tuple(map(Fraction, v)))
+        assert _is_positive_multiple(engine.step(0, engine.initial()), exact, semiring)
+    # rows with different denominators: one step reaches (1/2, 1/3), which
+    # 2x - 3y kills
+    halves = new_instance(
+        Semiring.RATIONAL, (1, 1),
+        (DenseMatrix(((Fraction(1, 2), 0), (0, Fraction(1, 3)))),), DenseMatrix(((2, -3),)))
+    assert m_sequence(halves, 2).values == (0, 1, 0)
+    assert check_sequence(halves, (0,)) and not check_sequence(halves, ())
+
+
+def _functional_rational_instance(rng):
+    d = rng.randint(1, 5)
+    v = [random_scalar(rng) for _ in range(d)]
+    v[rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(3, 2)))
+    ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(1, 3))]
+    sel = DenseMatrix(tuple(tuple(random_scalar(rng) for _ in range(d))
+                            for _ in range(rng.randint(1, 2))))
+    return new_instance(Semiring.RATIONAL, v, ts, sel)
+
+
+def _dense_gf2_instance(rng):
+    d = rng.randint(2, 5)
+    v = tuple(rng.randint(0, 1) for _ in range(d))
+
+    def matrix(rows):
+        return [[rng.randint(0, 1) for _ in range(d)] for _ in range(rows)]
+
+    ts = [matrix(d) for _ in range(rng.randint(1, 3))]
+    ts[0][0][:2] = [1, 1]  # two 1s in a row: not functional
+    return new_instance(Semiring.GF2, v, [DenseMatrix(t) for t in ts],
+                        DenseMatrix(matrix(rng.randint(1, 3))))
+
+
+def _mixed_denominator_instance(rng):
+    d = rng.randint(2, 4)
+    v = tuple(rng.randint(-2, 2) for _ in range(d))
+
+    def matrix(rows):
+        # every row has its own denominator
+        return DenseMatrix(tuple(
+            tuple(Fraction(rng.choice((0, 0, 1, -1, 2)), den) for _ in range(d))
+            for den in rng.sample((1, 2, 3, 5, 7), rows)))
+
+    return new_instance(Semiring.RATIONAL, v, [matrix(d) for _ in range(rng.randint(1, 3))],
+                        matrix(1))
+
+
+GENERIC_FAMILIES = {
+    # the instances of acceptance criterion 2, same seed
+    "criterion-2": (random_rational_instance, 100),
+    "functional-q": (_functional_rational_instance, 40),
+    "functional-01-selector": (
+        lambda rng: random_packed_instance(rng, rng.randint(2, 6), Semiring.RATIONAL, "generic"),
+        40),
+    "dense-gf2": (_dense_gf2_instance, 40),
+    "mixed-denominators": (_mixed_denominator_instance, 40),
+}
+
+
+@pytest.mark.parametrize("family", GENERIC_FAMILIES)
+def test_generic_engine_matches_the_fraction_reference(family):
+    # brute force and dedup share the generic engine's int arithmetic, so
+    # they are checked here against a walk over plain Fractions
+    make, count = GENERIC_FAMILIES[family]
+    rng = random.Random(514 if family == "criterion-2" else family)
+    for _ in range(count):
+        inst = make(rng)
+        engine, ref = engine_for(inst), Reference(inst)
+        assert isinstance(engine, GenericEngine)
+        expected = ref.counts(4)
+        assert m_sequence(inst, 4).values == expected
+        assert m_sequence(inst, 4, method="brute").values == expected
+        for _ in range(10):
+            seq = [rng.randrange(inst.m) for _ in range(rng.randint(0, 5))]
+            assert check_sequence(inst, seq) == ref.accepts(seq)
+            state, exact = engine.initial(), tuple(map(Fraction, inst.v))
+            assert _is_positive_multiple(state, exact, inst.semiring)
+            for t in seq:
+                state, exact = engine.step(t, state), ref.step(t, exact)
+                assert _is_positive_multiple(state, exact, inst.semiring)
 
 
 def test_instance_builds_its_engine_once(monkeypatch):
