@@ -339,12 +339,23 @@ def new_instance(
     return VestInstance(semiring, vv, tuple(stored), sel, tuple(forms))
 
 
-def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> str:
-    """Comma-joined ``scalar_to_string`` of *entries*. GF(2) scalars are the
-    ints 0 and 1, whose ``str`` is already that text."""
-    if semiring is Semiring.GF2:
-        return ",".join(map(str, entries))
-    return ",".join(map(scalar_to_string, entries))
+# bytes.translate table that turns the bytes 0 and 1 into the digits "0" and "1"
+_GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> bytes:
+    """Comma-joined ``scalar_to_string`` of *entries*, encoded. GF(2) scalars
+    are the ints 0 and 1: when ``is_gf2_row`` confirms that, the text is made
+    at C level, one digit byte per entry with the commas put in between by
+    slice assignment."""
+    if semiring is not _GF2:
+        return ",".join(map(scalar_to_string, entries)).encode()
+    entries = tuple(entries)
+    if not is_gf2_row(entries):
+        return ",".join(map(str, entries)).encode()
+    text = bytearray(b",") * (2 * len(entries) - 1)
+    text[::2] = bytes(entries).translate(_GF2_DIGITS)
+    return text
 
 
 def instance_fingerprint(instance: VestInstance) -> str:
@@ -356,15 +367,18 @@ def instance_fingerprint(instance: VestInstance) -> str:
     sem = instance.semiring
     h = hashlib.sha256()
     h.update(f"{sem.value};{instance.d};{instance.h};{instance.m};".encode())
-    h.update(_scalars_text(sem, instance.v).encode())
+    h.update(_scalars_text(sem, instance.v))
+    action_text = None
     for t, form in zip(instance.transformations, instance.functional_forms):
         if form is not None:
+            if action_text is None:  # row actions are ints below d, or None: "z"
+                action_text = dict(zip(range(instance.d), map(str, range(instance.d))))
+                action_text[None] = "z"
             h.update(b"|F")
-            # row actions are ints or None; no int's text contains "None"
-            h.update(",".join(map(str, form.actions)).replace("None", "z").encode())
+            h.update(",".join(map(action_text.__getitem__, form.actions)).encode())
         else:
             h.update(b"|D")
-            h.update(_scalars_text(sem, chain.from_iterable(t.rows)).encode())
+            h.update(_scalars_text(sem, chain.from_iterable(t.rows)))
     h.update(b"|S")
-    h.update(_scalars_text(sem, chain.from_iterable(instance.selector.rows)).encode())
+    h.update(_scalars_text(sem, chain.from_iterable(instance.selector.rows)))
     return h.hexdigest()[:16]

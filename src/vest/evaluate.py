@@ -6,20 +6,25 @@ Three evaluation modes share one state-walking core:
   selector annihilates the final vector.
 * ``m_k_bruteforce`` enumerates all m**k sequences of length k (shared
   prefixes via an explicit stack) and counts the annihilated ones.
-* ``m_k_dedup`` walks levels of state distributions, merging sequences that
-  reach the same vector, so the cost scales with distinct states rather
-  than with m**k.
+* ``dedup_levels`` (and ``m_k_dedup`` on top of it) walks levels of state
+  distributions, merging sequences that reach the same vector, so the cost
+  scales with distinct states rather than with m**k. Each engine's
+  ``advance`` makes one level from the last.
 
 Instances with a 0/1 start vector, functional transformations and a 0/1
 selector keep every reachable vector 0/1. Those run on a packed engine
 that stores each vector as an int bitmask. Row i of a functional
 transformation copies bit ``action[i]`` to bit i, so rows that share the
 shift ``i - action[i]`` move together: a step is one masked shift per
-shift group. Every other instance runs on a generic engine over tuples of
-ints, scaled once from its rationals. Both engines produce identical
+shift group. Its ``advance`` also absorbs dead states, those that no
+extension can make accepted because a selected bit can never clear (in a
+compiled instance: a vertex chosen twice); they merge into one dead
+representative. Every other instance runs on a generic engine over tuples
+of ints, scaled once from its rationals. Both engines produce identical
 counts; the packed one is just faster. ``engine_for`` builds an instance's
 engine once and keeps it on the instance, so every evaluation of that
-instance shares it.
+instance shares it. ``check_sequence`` and ``m_k_bruteforce`` walk with
+plain ``step``, so brute force stays an independent reference for dedup.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .core import (
 )
 
 DEFAULT_BRUTE_CAP = 10**8
+DEFAULT_DEDUP_CAP = 10**8
 
 
 class IndexOutOfRange(VestError):
@@ -100,15 +106,27 @@ class GenericEngine:
         mask = self._mask
         return not any(sum(map(operator.mul, row, state)) & mask for row in self._selector)
 
+    def advance(self, dist: Dict) -> Dict:
+        """The next dedup level: every transformation applied to every state
+        of *dist* (state -> multiplicity), collisions summed."""
+        step, transformations = self.step, range(len(self._rows))
+        nxt: Dict = {}
+        for state, mult in dist.items():
+            for t in transformations:
+                succ = step(t, state)
+                nxt[succ] = nxt.get(succ, 0) + mult
+        return nxt
 
-def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
-    """Step plan of one functional transformation: rows grouped by
-    ``shift = i - action[i]``, as (mask of source bits, shift) pairs, split
-    into left shifts (shift >= 0) and right shifts (by -shift).
+
+def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[int, tuple, tuple]:
+    """Step plan of one functional transformation: the mask of fixed rows
+    (shift 0), then the moved rows grouped by ``shift = i - action[i]``, as
+    (mask of source bits, shift) pairs, split into left shifts (shift > 0)
+    and right shifts (by -shift).
 
     Fixed rows (``action[i] == i``) are most rows of a compiled vertex
-    matrix. They are found at C level and form the shift-0 mask together;
-    only the other rows take a Python pass."""
+    matrix. They are found at C level; only the other rows take a Python
+    pass."""
     rows = range(len(actions))
     fixed = (1 << len(actions)) - 1
     groups: Dict[int, int] = {}
@@ -117,11 +135,9 @@ def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[tuple, tuple]:
         j = actions[i]
         if j is not None:
             groups[i - j] = groups.get(i - j, 0) | 1 << j
-    if fixed:  # no moved row has shift 0
-        groups[0] = fixed
-    lefts = tuple((mask, shift) for shift, mask in groups.items() if shift >= 0)
+    lefts = tuple((mask, shift) for shift, mask in groups.items() if shift > 0)
     rights = tuple((mask, -shift) for shift, mask in groups.items() if shift < 0)
-    return lefts, rights
+    return fixed, lefts, rights
 
 
 def _bit_mask(row: tuple, one: Scalar, ones: int) -> int:
@@ -147,9 +163,16 @@ class PackedEngine:
     row with two or more 1s needs even parity of its selected bits. Any
     other instance raises ``ValueError``; ``engine_for`` gives it a
     ``GenericEngine``.
+
+    A union-mask bit whose closure under every action holds no ``None``
+    (``_closures``) can never clear once that whole closure is set, so
+    ``advance`` maps every such successor to one dead representative and
+    steps it no further. The closures are built on the first ``advance``,
+    so building an engine and checking sequences never pay for them.
     """
 
-    __slots__ = ("_plans", "_initial", "_union_mask", "_parity_masks")
+    __slots__ = ("_plans", "_initial", "_union_mask", "_parity_masks", "_actions",
+                 "_absorbing")
 
     def __init__(self, instance: VestInstance):
         if not instance.packed_ready:
@@ -173,13 +196,16 @@ class PackedEngine:
             else:
                 union |= mask
         self._union_mask, self._parity_masks = union, tuple(parity)
+        # closures are left to the first advance: checks never need them
+        self._actions = tuple(form.actions for form in instance.functional_forms)
+        self._absorbing = None
 
     def initial(self) -> int:
         return self._initial
 
     def step(self, t: int, state: int) -> int:
-        lefts, rights = self._plans[t]
-        out = 0
+        fixed, lefts, rights = self._plans[t]
+        out = state & fixed
         for mask, shift in lefts:
             out |= (state & mask) << shift
         for mask, shift in rights:
@@ -193,6 +219,100 @@ class PackedEngine:
             if (mask & state).bit_count() & 1:
                 return False
         return True
+
+    def _closures(self) -> Tuple[int, Dict[int, int], int]:
+        """Absorbing closures of the union-mode selector bits, as (sticky,
+        closures, dead).
+
+        The closure C(i) of bit i is the smallest set of bits that holds i
+        and ``action_t[j]`` for every transformation t and every j in it. It
+        counts only when no action in it is ``None``: then a state with
+        every bit of C(i) set keeps them all set through any step, bit i
+        never clears, and no extension of the state is accepted.
+        ``closures`` maps bit i (as ``1 << i``) to the mask of C(i);
+        ``sticky`` is the mask of those bits; ``dead`` is the first closure,
+        a real dead state that stands for all of them (-1, never a state,
+        when there is none)."""
+        plans, full = self._plans, (1 << len(self._actions[0])) - 1
+        # leaky: the rows whose closure reaches None. First the zero rows,
+        # which some transformation neither keeps nor copies into...
+        leaky = 0
+        for fixed, lefts, rights in plans:
+            written = fixed
+            for mask, shift in lefts:
+                written |= mask << shift
+            for mask, shift in rights:
+                written |= mask >> shift
+            leaky |= full ^ written
+        # ...then, until none is added, every row that copies a leaky row
+        while True:
+            wider = leaky
+            for t in range(len(plans)):
+                wider |= self.step(t, leaky)
+            if wider == leaky:
+                break
+            leaky = wider
+        # every other row copies only rows that are not leaky either; only
+        # its moved rows lead anywhere new
+        sources: Dict[int, set] = {}
+        for (fixed, _, _), actions in zip(plans, self._actions):
+            moved = full & ~fixed & ~leaky
+            while moved:
+                low = moved & -moved
+                moved ^= low
+                i = low.bit_length() - 1
+                sources.setdefault(i, set()).add(actions[i])
+        closures: Dict[int, int] = {}
+        union = self._union_mask & ~leaky
+        while union:
+            low = union & -union
+            union ^= low
+            seen = {low.bit_length() - 1}
+            todo = list(seen)
+            while todo:
+                reach = sources.get(todo.pop())
+                if reach:
+                    todo.extend(reach - seen)
+                    seen |= reach
+            closures[low] = sum(1 << j for j in seen)
+        sticky = sum(closures)
+        return sticky, closures, closures[sticky & -sticky] if sticky else -1
+
+    def advance(self, dist: Dict) -> Dict:
+        """The next dedup level: every transformation applied to every state
+        of *dist* (state -> multiplicity), collisions summed, with the shift
+        groups run inline. Every successor that holds all of some absorbing
+        closure is dead and merges into one dead representative; the
+        representative itself is not stepped, its mass is multiplied by m."""
+        if self._absorbing is None:
+            self._absorbing = self._closures()
+        sticky, closures, dead = self._absorbing
+        plans = self._plans
+        nxt: Dict = {}
+        get = nxt.get
+        dead_mass = dist.get(dead, 0) * len(plans)
+        for state, mult in dist.items():
+            if state == dead:
+                continue
+            for fixed, lefts, rights in plans:
+                out = state & fixed
+                for mask, shift in lefts:
+                    out |= (state & mask) << shift
+                for mask, shift in rights:
+                    out |= (state & mask) >> shift
+                hit = out & sticky
+                while hit:
+                    low = hit & -hit
+                    if out & closures[low] == closures[low]:
+                        break
+                    hit ^= low
+                if hit:
+                    dead_mass += mult
+                else:
+                    nxt[out] = get(out, 0) + mult
+        if dead_mass:
+            nxt[dead] = dead_mass
+        return nxt
 
 
 def engine_for(instance: VestInstance):
@@ -272,7 +392,10 @@ class StateDistribution:
     the packed engine, int tuples on the generic one. Over the rationals a
     generic state is a positive multiple of the exact vector, so states
     that are multiples of each other may stay apart; counts are exact
-    either way."""
+    either way. On the packed engine, the dead states past level 0 that
+    ``PackedEngine`` detects (no extension of them is accepted) merge into
+    one dead representative, itself such a state, so annihilated mass and
+    the level total, ``m**level``, need no special case."""
 
     level: int
     entries: Dict
@@ -281,26 +404,34 @@ class StateDistribution:
         return sum(self.entries.values())
 
 
-def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistribution]:
+def dedup_levels(instance: VestInstance, k_max: int,
+                 cap: int = DEFAULT_DEDUP_CAP) -> Iterator[StateDistribution]:
     """Yield state distributions for levels 0..k_max.
 
-    Level 0 is the start vector with multiplicity 1; level j+1 applies every
-    transformation to every distinct level-j state, summing multiplicities
-    of collisions. Deterministic: iteration order never affects the result.
+    Level 0 is the start vector with multiplicity 1; level j+1 is the
+    engine's ``advance`` of level j: every transformation applied to every
+    distinct state, multiplicities of collisions summed. Deterministic:
+    iteration order never affects the result. A negative *k_max* or one
+    above *cap* is refused at call time; a level of more than *cap*
+    distinct states raises ``ResourceBound`` when it is reached.
     """
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
-    engine = engine_for(instance)
-    step, m = engine.step, instance.m
+    if k_max > cap:
+        raise ResourceBound(
+            f"dedup to length {k_max} exceeds the cap of {cap} levels")
+    return _levels(engine_for(instance), k_max, cap)
+
+
+def _levels(engine, k_max: int, cap: int) -> Iterator[StateDistribution]:
     dist = {engine.initial(): 1}
-    yield StateDistribution(0, dist)
-    for level in range(1, k_max + 1):
-        nxt: Dict = {}
-        for state, mult in dist.items():
-            for t in range(m):
-                succ = step(t, state)
-                nxt[succ] = nxt.get(succ, 0) + mult
-        dist = nxt
+    for level in range(k_max + 1):
+        if level:
+            dist = engine.advance(dist)
+        if len(dist) > cap:
+            raise ResourceBound(
+                f"dedup level {level} holds {len(dist)} distinct states, "
+                f"above the cap of {cap}")
         yield StateDistribution(level, dist)
 
 
@@ -335,7 +466,8 @@ def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Itera
     """M_0..M_k_max, one per ``next``: the annihilated mass of each level of
     ``dedup_levels`` ("dedup"), or ``m_k_bruteforce`` for each length
     ("brute"). A negative *k_max* or an unknown method is refused here, at
-    call time, before any count is made."""
+    call time, before any count is made; so is a *k_max* above the dedup
+    cap."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == "dedup":

@@ -53,7 +53,10 @@ class Graph:
         collapsing duplicate edges silently."""
         if n < 1:
             raise ValueError(f"vertex count must be >= 1, got {n}")
-        adj = [0] * n
+        try:
+            adj = [0] * n
+        except OverflowError:  # n does not even fit a list index
+            raise MemoryError(f"cannot allocate {n} vertices") from None
         count = 0
         for u, v in edges:
             for w in (u, v):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,14 @@ def test_negative_lengths_are_usage_errors(args, p3_file, p3_instance, capsys):
     _assert_one_line_error(capsys)
 
 
+def test_huge_dedup_lengths_are_refused_at_once(p3_file, p3_instance, capsys):
+    start = time.perf_counter()
+    for args in (["eval", "-i", p3_instance], ["verify", "-i", p3_file]):
+        assert main(args + ["--kmax", str(10**21)]) == 2
+        _assert_one_line_error(capsys)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("3 2\n0 1\n1 2\nc café\n".encode("latin-1"))
@@ -240,8 +249,9 @@ def test_bad_instance_documents_are_usage_errors(command, p3_instance, tmp_path,
 
 
 # 10**12 vertices: the adjacency list alone would take 8 TB, so allocating
-# it fails at once
-HUGE_GRAPHS = {"edgelist": "1000000000000 0\n", "dimacs": "p edge 1000000000000 0\n"}
+# it fails at once. 10**19 vertices do not even fit a list index.
+HUGE_VERTEX_COUNTS = (10**12, 10**19)
+HUGE_GRAPHS = {"edgelist": "{} 0\n", "dimacs": "p edge {} 0\n"}
 
 
 @pytest.mark.parametrize("fmt", HUGE_GRAPHS)
@@ -249,6 +259,7 @@ HUGE_GRAPHS = {"edgelist": "1000000000000 0\n", "dimacs": "p edge 1000000000000 
                                      ["reduce"]])
 def test_graph_too_large_to_allocate_is_a_usage_error(command, fmt, tmp_path, capsys):
     path = tmp_path / "huge.txt"
-    path.write_text(HUGE_GRAPHS[fmt])
-    assert main([command[0], "-i", str(path), "--format", fmt] + command[1:]) == 2
-    _assert_one_line_error(capsys)
+    for n in HUGE_VERTEX_COUNTS:
+        path.write_text(HUGE_GRAPHS[fmt].format(n))
+        assert main([command[0], "-i", str(path), "--format", fmt] + command[1:]) == 2
+        _assert_one_line_error(capsys)

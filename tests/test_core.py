@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -21,7 +25,7 @@ from vest import (
 )
 from vest.core import canon_vector, scalar_to_string
 
-from helpers import path_graph
+from helpers import path_graph, random_graph
 
 
 def test_rational_canon_accepts_ints_fractions_strings():
@@ -201,3 +205,59 @@ def test_fingerprint_digests_are_pinned():
                         [DenseMatrix([[1, Fraction(2, 3)], [0, -1]])],
                         DenseMatrix([[Fraction(5, 7), 1]]))
     assert instance_fingerprint(inst) == "5d141305108830cd"
+
+
+def _joined_text_fingerprint(instance):
+    """The fingerprint as first written: every entry and row action turned
+    into text by ``str`` and joined with commas, rationals as "p/q"."""
+    def text(entries):
+        if instance.semiring is Semiring.GF2:
+            return ",".join(map(str, entries))
+        return ",".join(str(x.numerator) if x.denominator == 1
+                        else f"{x.numerator}/{x.denominator}" for x in entries)
+
+    h = hashlib.sha256()
+    h.update(f"{instance.semiring.value};{instance.d};{instance.h};{instance.m};".encode())
+    h.update(text(instance.v).encode())
+    for t, form in zip(instance.transformations, instance.functional_forms):
+        if form is not None:
+            h.update(b"|F" + ",".join(map(str, form.actions)).replace("None", "z").encode())
+        else:
+            h.update(b"|D" + text(chain.from_iterable(t.rows)).encode())
+    h.update(b"|S" + text(chain.from_iterable(instance.selector.rows)).encode())
+    return h.hexdigest()[:16]
+
+
+def _random_mixed_instance(rng, semiring):
+    """Functional and dense transformations side by side; over the
+    rationals the dense ones and the selector hold fractions."""
+    d = rng.randint(1, 12)
+
+    def entry():
+        if semiring is Semiring.GF2:
+            return rng.randint(0, 1)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    ts = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            ts.append(FunctionalMatrix(rng.choice([None] + list(range(d))) for _ in range(d)))
+        else:
+            ts.append(DenseMatrix([[entry() for _ in range(d)] for _ in range(d)]))
+    selector = DenseMatrix([[entry() for _ in range(d)] for _ in range(rng.randint(1, 4))])
+    return new_instance(semiring, [entry() for _ in range(d)], ts, selector)
+
+
+def test_fingerprint_text_matches_the_joined_text():
+    rng = random.Random(41)
+    instances = []
+    for semiring in (Semiring.GF2, Semiring.RATIONAL):
+        instances += [_random_mixed_instance(rng, semiring) for _ in range(30)]
+        for n in (1, 4, 11):
+            instances.append(reduce_graph(random_graph(rng, n, 0.4), semiring).instance)
+    # a GF(2) instance built around new_instance, with a bool entry that is
+    # not canonical: it takes the text path entry by entry
+    gf2 = instances[0]
+    instances.append(dataclasses.replace(gf2, v=(True,) + gf2.v[1:]))
+    for inst in instances:
+        assert instance_fingerprint(inst) == _joined_text_fingerprint(inst)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import random
 import time
 import weakref
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +17,7 @@ import vest.evaluate
 from vest import (
     DenseMatrix,
     FunctionalMatrix,
+    Graph,
     IndexOutOfRange,
     NegativeLength,
     ResourceBound,
@@ -37,6 +39,7 @@ from helpers import (
     Reference,
     cycle_graph,
     edgeless_graph,
+    naive_dominating_count,
     path_graph,
     random_functional_matrix,
     random_rational_instance,
@@ -526,3 +529,149 @@ def test_m_counts_is_lazy():
     assert next(counts) == 20000
     with pytest.raises(ResourceBound):
         next(counts)
+
+
+def test_dedup_cap_is_exact():
+    # levels: k_max itself is held to the cap, and a huge one is refused at
+    # call time, before any level is made
+    assert len(list(dedup_levels(K1, 3, cap=3))) == 4
+    with pytest.raises(ResourceBound):
+        dedup_levels(K1, 4, cap=3)
+    start = time.perf_counter()
+    for k_max in (10**8 + 1, 10**21):
+        with pytest.raises(ResourceBound):
+            dedup_levels(K1, k_max)
+    with pytest.raises(ResourceBound):
+        m_counts(K1, 10**21)
+    assert time.perf_counter() - start < 1.0
+    # distinct states per level
+    inst = reduce_graph(cycle_graph(4)).instance
+    sizes = [len(dist.entries) for dist in dedup_levels(inst, 3)]
+    widest = max(sizes)
+    assert [len(dist.entries) for dist in dedup_levels(inst, 3, cap=widest)] == sizes
+    levels = dedup_levels(inst, 3, cap=widest - 1)
+    with pytest.raises(ResourceBound) as info:
+        list(levels)
+    assert f"level {sizes.index(widest)} holds {widest} distinct states" in str(info.value)
+
+
+def _generic_level_sizes(inst, k_max):
+    """Distinct states per level with the generic engine, which absorbs
+    nothing."""
+    engine = GenericEngine(inst)
+    dist, sizes = {engine.initial(): 1}, [1]
+    for _ in range(k_max):
+        dist = engine.advance(dist)
+        sizes.append(len(dist))
+    return sizes
+
+
+@pytest.mark.parametrize("semiring", [Semiring.GF2, Semiring.RATIONAL])
+def test_absorbing_dedup_matches_brute_force_and_dominating_sets(semiring):
+    rng = random.Random(f"absorb:{semiring.value}")
+    for _ in range(12):
+        n = rng.randint(1, 8)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        inst = reduce_graph(Graph.from_edges(n, edges), semiring).instance
+        k_max = n + 2
+        levels = list(dedup_levels(inst, k_max))
+        for j, dist in enumerate(levels):
+            assert dist.total() == n ** j
+            # live states are the j-subsets of chosen vertices, plus one dead
+            assert len(dist.entries) <= math.comb(n, j) + 1
+        counts = tuple(annihilated_mass(inst, dist) for dist in levels)
+        assert counts == tuple(math.factorial(k) * naive_dominating_count(n, edges, k)
+                               for k in range(k_max + 1))
+        for k in range(k_max + 1):
+            if n ** k <= 20000:
+                assert m_k_bruteforce(inst, k) == counts[k]
+
+
+def _closed_functional_instance(rng, semiring, reach_none):
+    """0/1 functional instance whose selector reads single bits of a set S
+    that every action maps into S. Without ``None`` in S, the closure of
+    each selected bit absorbs. With *reach_none*, one row of S is zeroed by
+    some transformation and every other row of S copies, in some
+    transformation, a row listed before it, so every closure reaches
+    ``None``, most of them through a chain of rows, and none absorbs."""
+    d = rng.randint(2, 9)
+    closed = rng.sample(range(d), rng.randint(1, d))
+    ts = [[rng.choice(closed) if i in closed else
+           (None if rng.random() < 0.3 else rng.randrange(d)) for i in range(d)]
+          for _ in range(rng.randint(1, 3))]
+    if reach_none:
+        ts[rng.randrange(len(ts))][closed[0]] = None
+        for pos, i in enumerate(closed[1:], start=1):
+            ts[rng.randrange(len(ts))][i] = closed[rng.randrange(pos)]
+    v = tuple(rng.randint(0, 1) for _ in range(d))
+    rows = []
+    for i in rng.sample(closed, rng.randint(1, len(closed))):
+        row = [0] * d
+        row[i] = 1
+        rows.append(row)
+    return new_instance(semiring, v, [FunctionalMatrix(t) for t in ts], DenseMatrix(rows))
+
+
+@pytest.mark.parametrize("reach_none", [False, True])
+@pytest.mark.parametrize("semiring", [Semiring.GF2, Semiring.RATIONAL])
+def test_absorbing_closures_on_random_functional_instances(semiring, reach_none):
+    rng = random.Random(f"closures:{semiring.value}:{reach_none}")
+    absorbed = 0
+    for _ in range(40):
+        inst = _closed_functional_instance(rng, semiring, reach_none)
+        assert isinstance(engine_for(inst), PackedEngine)
+        k_max = 5
+        levels = list(dedup_levels(inst, k_max))
+        sizes = [len(dist.entries) for dist in levels]
+        generic = _generic_level_sizes(inst, k_max)
+        if reach_none:
+            assert sizes == generic
+        else:
+            assert all(a <= b for a, b in zip(sizes, generic))
+            absorbed += sizes != generic
+        for dist in levels:
+            assert dist.total() == inst.m ** dist.level
+        counts = tuple(annihilated_mass(inst, dist) for dist in levels)
+        assert counts == Reference(inst).counts(k_max)
+        assert counts == m_sequence(inst, k_max, method="brute").values
+    if not reach_none:
+        assert absorbed >= 10
+
+
+def test_parity_selector_bits_do_not_absorb():
+    # over GF(2) a row reading two chosen-twice slots is zero again when
+    # both are set, so those bits never make a state dead
+    g = cycle_graph(4)
+    compiled = reduce_graph(g).instance
+    d = compiled.d
+    rows = []
+    for u in range(g.n):
+        row = [0] * d
+        row[3 * u + 1] = row[3 * ((u + 1) % g.n) + 1] = 1
+        rows.append(row)
+    parity = new_instance(Semiring.GF2, compiled.v, compiled.transformations,
+                          DenseMatrix(rows))
+    uncovered = [[int(j == 3 * u) for j in range(d)] for u in range(g.n)]
+    mixed = new_instance(Semiring.GF2, compiled.v, compiled.transformations,
+                         DenseMatrix(rows + uncovered))
+    for inst in (parity, mixed):
+        k_max = 6
+        levels = list(dedup_levels(inst, k_max))
+        assert [len(dist.entries) for dist in levels] == _generic_level_sizes(inst, k_max)
+        counts = tuple(annihilated_mass(inst, dist) for dist in levels)
+        assert counts == Reference(inst).counts(k_max)
+        assert counts == m_sequence(inst, k_max, method="brute").values
+    assert any(m_sequence(parity, 6).values)
+
+
+def test_dead_start_vector_stays_level_zero():
+    # the start vector already holds the closure {0, 1} of selected bit 0:
+    # level 0 is still the start vector; after it, one dead representative
+    inst = new_instance(Semiring.GF2, (1, 1, 0),
+                        (FunctionalMatrix((1, 0, None)), FunctionalMatrix((0, 1, 0))),
+                        DenseMatrix(((1, 0, 0),)))
+    levels = list(dedup_levels(inst, 3))
+    assert levels[0].entries == {engine_for(inst).initial(): 1}
+    assert [dist.entries for dist in levels[1:]] == [{0b11: 2}, {0b11: 4}, {0b11: 8}]
+    assert next(dedup_levels(inst, 0)).entries == {0b011: 1}
+    assert m_sequence(inst, 3).values == (0, 0, 0, 0)
