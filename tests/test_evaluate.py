@@ -531,12 +531,14 @@ def test_m_counts_is_lazy():
         next(counts)
 
 
-def test_dedup_cap_is_exact():
+def test_dedup_cap_is_exact(monkeypatch):
     # levels: k_max itself is held to the cap, and a huge one is refused at
     # call time, before any level is made
-    assert len(list(dedup_levels(K1, 3, cap=3))) == 4
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", 3)
+    assert len(list(dedup_levels(K1, 3))) == 4
     with pytest.raises(ResourceBound):
-        dedup_levels(K1, 4, cap=3)
+        dedup_levels(K1, 4)
+    monkeypatch.undo()
     start = time.perf_counter()
     for k_max in (10**8 + 1, 10**21):
         with pytest.raises(ResourceBound):
@@ -548,8 +550,10 @@ def test_dedup_cap_is_exact():
     inst = reduce_graph(cycle_graph(4)).instance
     sizes = [len(dist.entries) for dist in dedup_levels(inst, 3)]
     widest = max(sizes)
-    assert [len(dist.entries) for dist in dedup_levels(inst, 3, cap=widest)] == sizes
-    levels = dedup_levels(inst, 3, cap=widest - 1)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", widest)
+    assert [len(dist.entries) for dist in dedup_levels(inst, 3)] == sizes
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", widest - 1)
+    levels = dedup_levels(inst, 3)
     with pytest.raises(ResourceBound) as info:
         list(levels)
     assert f"level {sizes.index(widest)} holds {widest} distinct states" in str(info.value)
