@@ -6,10 +6,15 @@ Three evaluation modes share one state-walking core:
   selector annihilates the final vector.
 * ``m_k_bruteforce`` enumerates all m**k sequences of length k (shared
   prefixes via an explicit stack) and counts the annihilated ones.
-* ``dedup_levels`` (and ``m_k_dedup`` on top of it) walks levels of state
-  distributions, merging sequences that reach the same vector, so the cost
-  scales with distinct states rather than with m**k. Each engine's
-  ``advance`` makes one level from the last.
+* ``dedup_levels`` walks levels of state distributions, merging sequences
+  that reach the same vector, so the cost scales with distinct states
+  rather than with m**k. Each engine's ``advance`` makes one level from
+  the last. ``m_counts`` (and ``m_sequence`` and ``m_k_dedup`` on top of
+  it) builds levels up to k_max - 1 only: each engine's
+  ``accepted_mass`` counts the accepted successors of that level without
+  making them, so the last level, most of the states on a compiled
+  instance, is never stored, and the dedup state cap covers only the
+  levels built.
 
 Instances with a 0/1 start vector, functional transformations and a 0/1
 selector keep every reachable vector 0/1. Those run on a packed engine
@@ -19,8 +24,10 @@ shift ``i - action[i]`` move together: a step is one masked shift per
 shift group. Its ``advance`` also absorbs dead states, those that no
 extension can make accepted because a selected bit can never clear (in a
 compiled instance: a vertex chosen twice); they merge into one dead
-representative. Every other instance runs on a generic engine over tuples
-of ints, scaled once from its rationals. Both engines produce identical
+representative. Its ``accepted_mass`` tests each state against the
+selector masks pulled back through each transformation (preimage masks),
+one AND per successor. Every other instance runs on a generic engine over
+tuples of ints, scaled once from its rationals. Both engines produce identical
 counts; the packed one is just faster. ``engine_for`` builds an instance's
 engine once and keeps it on the instance, so every evaluation of that
 instance shares it. ``check_sequence`` and ``m_k_bruteforce`` absorb
@@ -117,6 +124,13 @@ class GenericEngine:
                 nxt[succ] = nxt.get(succ, 0) + mult
         return nxt
 
+    def accepted_mass(self, dist: Dict) -> int:
+        """Total multiplicity of the accepted one-step successors of *dist*
+        (state -> multiplicity); the successors are tested, never stored."""
+        step, annihilates, transformations = self.step, self.annihilates, range(len(self._rows))
+        return sum(mult for state, mult in dist.items()
+                   for t in transformations if annihilates(step(t, state)))
+
 
 def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[int, tuple, tuple]:
     """Step plan of one functional transformation: the mask of fixed rows
@@ -172,7 +186,7 @@ class PackedEngine:
     """
 
     __slots__ = ("_plans", "_initial", "_union_mask", "_parity_masks", "_actions",
-                 "_absorbing")
+                 "_absorbing", "_preimages")
 
     def __init__(self, instance: VestInstance):
         if not instance.packed_ready:
@@ -196,9 +210,11 @@ class PackedEngine:
             else:
                 union |= mask
         self._union_mask, self._parity_masks = union, tuple(parity)
-        # closures are left to the first advance: checks never need them
+        # closures and preimages are left to their first use: checks never
+        # need them
         self._actions = tuple(form.actions for form in instance.functional_forms)
         self._absorbing = None
+        self._preimages = None
 
     def initial(self) -> int:
         return self._initial
@@ -314,6 +330,49 @@ class PackedEngine:
             nxt[dead] = dead_mass
         return nxt
 
+    def _pull_back(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+        """The selector masks pulled back through each transformation t, as
+        (unions, parities): ``step(t, state)`` meets the union mask exactly
+        when ``state & unions[t]`` is nonzero, and meets parity mask q in as
+        many bits mod 2 as ``state`` meets ``parities[t][q]``.
+
+        Each shift group moves its source bits injectively, so a mask pulls
+        back through a group by the opposite shift. Two groups may copy one
+        source bit into two rows: the union preimage ORs the groups, but a
+        parity preimage XORs them, since two copies of a bit cancel mod 2."""
+        def pull(mask, plan, join):
+            fixed, lefts, rights = plan
+            out = mask & fixed
+            for source, shift in lefts:
+                out = join(out, (mask >> shift) & source)
+            for source, shift in rights:
+                out = join(out, (mask << shift) & source)
+            return out
+        plans = self._plans
+        unions = tuple(pull(self._union_mask, plan, operator.or_) for plan in plans)
+        parities = tuple(tuple(pull(q, plan, operator.xor) for q in self._parity_masks)
+                         for plan in plans)
+        return unions, parities
+
+    def accepted_mass(self, dist: Dict) -> int:
+        """Total multiplicity of the accepted one-step successors of *dist*
+        (state -> multiplicity), counted without making them: through the
+        selector's preimages (``_pull_back``), built on the first call. The
+        dead representative needs no special case: its closure stays set
+        through every step, so no successor of it is accepted."""
+        if self._preimages is None:
+            self._preimages = self._pull_back()
+        unions, parities = self._preimages
+        if not self._parity_masks:
+            return sum(mult * list(map(state.__and__, unions)).count(0)
+                       for state, mult in dist.items())
+        mass = 0
+        for state, mult in dist.items():
+            for union, qs in zip(unions, parities):
+                if not state & union and not any((state & q).bit_count() & 1 for q in qs):
+                    mass += mult
+        return mass
+
 
 def engine_for(instance: VestInstance):
     """The fastest engine that is exact for this instance. It is built on the
@@ -352,6 +411,24 @@ def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
     return engine.annihilates(state)
 
 
+def check_brute_bound(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP) -> None:
+    """Raise ``ResourceBound`` when brute force over the length-k sequences
+    passes *cap*. A bound that admits k admits every shorter length, so a
+    caller that counts every length up to k tests k alone, before counting
+    any."""
+    m = instance.m
+    # Each sequence walks k steps, so k itself is held to the cap too: with
+    # m=1 there is one sequence for every k. m >= 2**(b - 1) for its bit
+    # length b, so the middle test refuses a huge k before m**k is ever
+    # computed (m**k >= 2**(k * (b - 1)) > cap); the exact test then runs
+    # only on numbers of at most twice the bits of cap. Int arithmetic
+    # alone keeps the test cheap enough to run before every count.
+    if k > cap or k * (m.bit_length() - 1) > cap.bit_length() or m ** k > cap:
+        raise ResourceBound(
+            f"brute force over {m}**{k} sequences of length {k} exceeds the cap "
+            f"of {cap}; the dedup method may still be feasible")
+
+
 def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Count annihilated length-k sequences by enumerating all m**k of them.
 
@@ -360,15 +437,8 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
     """
     if k < 0:
         raise NegativeLength(f"sequence length must be >= 0, got {k}")
+    check_brute_bound(instance, k, cap)
     m = instance.m
-    # Each sequence walks k steps, so k itself is held to the cap too: with
-    # m=1 there is one sequence for every k. m >= 1, so logarithms refuse a
-    # huge k before m**k is ever computed; the exact test then runs only on
-    # numbers of at most about 2 * cap.
-    if k > cap or k * math.log2(m) > math.log2(max(cap, 1)) + 1 or m ** k > cap:
-        raise ResourceBound(
-            f"brute force over {m}**{k} sequences of length {k} exceeds the cap "
-            f"of {cap}; the dedup method may still be feasible")
     engine = engine_for(instance)
     step, annihilates = engine.step, engine.annihilates
     count = 0
@@ -395,13 +465,22 @@ class StateDistribution:
     either way. On the packed engine, the dead states past level 0 that
     ``PackedEngine`` detects (no extension of them is accepted) merge into
     one dead representative, itself such a state, so annihilated mass and
-    the level total, ``m**level``, need no special case."""
+    the level total, ``m**level``, need no special case. ``m_counts``
+    makes one for every level but the last it counts: that one is counted
+    through the engine's ``accepted_mass`` and never stored."""
 
     level: int
     entries: Dict
 
     def total(self) -> int:
         return sum(self.entries.values())
+
+
+def _check_dedup_length(k_max: int) -> None:
+    cap = DEFAULT_DEDUP_CAP
+    if k_max > cap:
+        raise ResourceBound(
+            f"dedup to length {k_max} exceeds the cap of {cap} levels")
 
 
 def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistribution]:
@@ -413,17 +492,15 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     iteration order never affects the result. A negative *k_max* or one
     above ``DEFAULT_DEDUP_CAP`` is refused at call time; a level of more
     than ``DEFAULT_DEDUP_CAP`` distinct states raises ``ResourceBound``
-    once it is made. The state test is a backstop, not a memory bound: a
-    level that large needs many GB, which memory normally runs out of
-    first.
+    once it is made. The state test covers only the levels built here, so
+    not the last level ``m_counts`` counts, which is never built. It is a
+    backstop, not a memory bound: a level that large needs many GB, which
+    memory normally runs out of first.
     """
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
-    cap = DEFAULT_DEDUP_CAP
-    if k_max > cap:
-        raise ResourceBound(
-            f"dedup to length {k_max} exceeds the cap of {cap} levels")
-    return _levels(engine_for(instance), k_max, cap)
+    _check_dedup_length(k_max)
+    return _levels(engine_for(instance), k_max, DEFAULT_DEDUP_CAP)
 
 
 def _levels(engine, k_max: int, cap: int) -> Iterator[StateDistribution]:
@@ -445,11 +522,10 @@ def annihilated_mass(instance: VestInstance, dist: StateDistribution) -> int:
 
 
 def m_k_dedup(instance: VestInstance, k: int) -> int:
-    """Count annihilated length-k sequences through state deduplication."""
-    last = None
-    for dist in dedup_levels(instance, k):
-        last = dist
-    return annihilated_mass(instance, last)
+    """Count annihilated length-k sequences through state deduplication: the
+    last count of ``m_counts``."""
+    *_, last = m_counts(instance, k)
+    return last
 
 
 @dataclass(frozen=True)
@@ -466,22 +542,38 @@ class MSequenceResult:
 
 
 def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Iterator[int]:
-    """M_0..M_k_max, one per ``next``: the annihilated mass of each level of
-    ``dedup_levels`` ("dedup"), or ``m_k_bruteforce`` for each length
-    ("brute"). A negative *k_max* or an unknown method is refused here, at
-    call time, before any count is made; so is, for "dedup", a *k_max*
-    above the dedup cap. "brute" refuses each length lazily, when its
-    count is asked for."""
+    """M_0..M_k_max, one per ``next``.
+
+    "dedup" yields the annihilated mass of each level of ``dedup_levels``
+    up to k_max - 1, then counts M_k_max from level k_max - 1 through the
+    engine's ``accepted_mass``, without building level k_max; the
+    per-level state cap therefore covers levels 0..k_max - 1 only. "brute"
+    yields ``m_k_bruteforce`` for each length. A negative *k_max* or an
+    unknown method is refused here, at call time, before any count is
+    made; so is, for "dedup", a *k_max* above the dedup cap. "brute"
+    refuses each length lazily, when its count is asked for; callers that
+    consume every length test *k_max* first with ``check_brute_bound``."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == "dedup":
-        return (annihilated_mass(instance, dist) for dist in dedup_levels(instance, k_max))
+        _check_dedup_length(k_max)
+        return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
     if method == "brute":
         return (m_k_bruteforce(instance, k) for k in range(k_max + 1))
     raise ValueError(f"unknown method {method!r}")
 
 
+def _dedup_counts(instance: VestInstance, levels: Iterator[StateDistribution],
+                  k_max: int) -> Iterator[int]:
+    for last in levels:
+        yield annihilated_mass(instance, last)
+    if k_max:
+        yield engine_for(instance).accepted_mass(last.entries)
+
+
 def m_sequence(instance: VestInstance, k_max: int, method: str = "dedup") -> MSequenceResult:
     """Compute M_0..M_k_max with the chosen method ("dedup" or "brute")."""
-    values = tuple(m_counts(instance, k_max, method))
-    return MSequenceResult(instance_fingerprint(instance), method, values)
+    counts = m_counts(instance, k_max, method)
+    if method == "brute":
+        check_brute_bound(instance, k_max)
+    return MSequenceResult(instance_fingerprint(instance), method, tuple(counts))

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
-from .evaluate import m_counts
+from .evaluate import check_brute_bound, m_counts
 from .graphs import Graph, count_dominating_sets, mask_vertices
 
 
@@ -173,12 +173,15 @@ def run_verification(
     start vector. It exists as a negative control: a verification harness
     that cannot fail on a sabotaged instance proves nothing. A negative
     *k_max* raises ``NegativeLength`` from ``m_counts`` before any row
-    exists, so zero rows never pass vacuously.
+    exists, so zero rows never pass vacuously; so does a brute-force job
+    whose *k_max* passes the brute-force cap (``ResourceBound``).
     """
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])
     counts = m_counts(instance, k_max, evaluator)
+    if evaluator == "brute":
+        check_brute_bound(instance, k_max)
     rows = []
     for k in range(k_max + 1):
         start = perf_counter()

@@ -213,6 +213,17 @@ def test_huge_dedup_lengths_are_refused_at_once(p3_file, p3_instance, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_huge_brute_force_lengths_are_refused_at_once(p3_file, p3_instance, capsys):
+    # m = 3: length 17 is the first past the brute-force cap of 10**8
+    # sequences, so neither command may count lengths 0..16 first
+    start = time.perf_counter()
+    for args in (["eval", "-i", p3_instance], ["verify", "-i", p3_file]):
+        for k_max in (17, 10**21):
+            assert main(args + ["--method", "brute", "--kmax", str(k_max)]) == 2
+            _assert_one_line_error(capsys)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "latin1.txt"
     bad.write_bytes("3 2\n0 1\n1 2\nc café\n".encode("latin-1"))

@@ -33,7 +33,7 @@ from vest import (
     new_instance,
     reduce_graph,
 )
-from vest.evaluate import GenericEngine, PackedEngine, engine_for
+from vest.evaluate import GenericEngine, PackedEngine, check_brute_bound, engine_for
 
 from helpers import (
     Reference,
@@ -114,6 +114,21 @@ def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once():
         with pytest.raises(ResourceBound):
             m_k_bruteforce(inst, k)
     assert time.perf_counter() - start < 1.0
+
+
+def test_brute_bound_refuses_exactly_the_jobs_past_the_cap():
+    for m in (1, 2, 3, 4, 7, 8, 9, 1000, 20000):
+        inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * m,
+                            DenseMatrix(((0,),)))
+        for cap in (0, 1, 3, 81, 1024, 10**8):
+            for k in range(64):
+                refused = k > cap or m ** k > cap
+                try:
+                    check_brute_bound(inst, k, cap)
+                except ResourceBound:
+                    assert refused, (m, k, cap)
+                else:
+                    assert not refused, (m, k, cap)
 
 
 def test_bruteforce_cap_bounds_the_walk_length():
@@ -679,3 +694,139 @@ def test_dead_start_vector_stays_level_zero():
     assert [dist.entries for dist in levels[1:]] == [{0b11: 2}, {0b11: 4}, {0b11: 8}]
     assert next(dedup_levels(inst, 0)).entries == {0b011: 1}
     assert m_sequence(inst, 3).values == (0, 0, 0, 0)
+
+
+def _same_source_parity_instance():
+    # parity row {0, 1}: transformation 0 copies bit 2 into rows 0 and 1,
+    # two right-shift groups, so after it the pair always has even parity
+    return new_instance(Semiring.GF2, (0, 0, 1),
+                        (FunctionalMatrix((2, 2, 2)), FunctionalMatrix((None, 0, 1))),
+                        DenseMatrix(((1, 1, 0),)))
+
+
+def _accepted_mass_instances():
+    rng = random.Random("accepted-mass")
+    instances = [_same_source_parity_instance(),
+                 new_instance(Semiring.GF2, (1, 1, 0),
+                              (FunctionalMatrix((1, 0, None)), FunctionalMatrix((0, 1, 0))),
+                              DenseMatrix(((1, 0, 0),)))]
+    for semiring in (Semiring.GF2, Semiring.RATIONAL):
+        for _ in range(3):
+            n = rng.randint(1, 4)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
+            instances.append(reduce_graph(Graph.from_edges(n, edges), semiring).instance)
+        instances += [_closed_functional_instance(rng, semiring, False) for _ in range(6)]
+        instances += [random_packed_instance(rng, rng.randint(3, 7), semiring, kind)
+                      for kind in ("single", "multi") for _ in range(8)]
+    # dense rational instances run on the generic engine alone
+    return instances + [random_rational_instance(rng) for _ in range(5)]
+
+
+def test_accepted_mass_matches_the_built_next_level():
+    # on both engines, accepted_mass of each level is the annihilated mass
+    # of the level it advances to; the counts made with it match brute force
+    seen = dict.fromkeys(("packed", "left", "right", "none", "parity", "dead"), 0)
+    for inst in _accepted_mass_instances():
+        actions = [a for form in inst.functional_forms if form
+                   for a in enumerate(form.actions)]
+        seen["left"] += any(j is not None and i > j for i, j in actions)
+        seen["right"] += any(j is not None and i < j for i, j in actions)
+        seen["none"] += any(j is None for _, j in actions)
+        seen["parity"] += inst.semiring is Semiring.GF2 and any(
+            sum(row) > 1 for row in inst.selector.rows)
+        engines = (engine_for(inst), GenericEngine(inst))
+        seen["packed"] += isinstance(engines[0], PackedEngine)
+        k_max = 4
+        dists = [{engine.initial(): 1} for engine in engines]
+        for _ in range(k_max):
+            for pos, (engine, dist) in enumerate(zip(engines, dists)):
+                nxt = engine.advance(dist)
+                assert engine.accepted_mass(dist) == sum(
+                    mult for state, mult in nxt.items() if engine.annihilates(state))
+                dists[pos] = nxt
+            # the packed level merged dead states into one representative
+            seen["dead"] += len(dists[0]) < len(dists[1])
+        brute = tuple(m_k_bruteforce(inst, k) for k in range(k_max + 1))
+        assert m_sequence(inst, k_max).values == brute
+        assert tuple(m_k_dedup(inst, k) for k in range(k_max + 1)) == brute
+        assert brute == Reference(inst).counts(k_max)
+    assert all(n >= 3 for n in seen.values()), seen
+
+
+def _spy_on_engines(monkeypatch):
+    """Record every advance and accepted_mass call of both engines, as
+    (method name, level size)."""
+    calls = []
+    for cls in (PackedEngine, GenericEngine):
+        for name in ("advance", "accepted_mass"):
+            def spy(self, dist, _name=name, _method=getattr(cls, name)):
+                calls.append((_name, len(dist)))
+                return _method(self, dist)
+            monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def test_m_counts_builds_levels_up_to_k_max_minus_one(monkeypatch):
+    calls = _spy_on_engines(monkeypatch)
+    for inst in (K1, reduce_graph(cycle_graph(4)).instance, _same_source_parity_instance(),
+                 random_rational_instance(random.Random(3))):
+        expected = Reference(inst).counts(3)
+        for k_max in range(4):
+            calls.clear()
+            assert tuple(m_counts(inst, k_max)) == expected[:k_max + 1]
+            # k_max = 0 reads level 0 alone; otherwise levels 1..k_max-1
+            # are built and level k_max is counted from the one before
+            names = [name for name, _ in calls]
+            assert names == ["advance"] * max(k_max - 1, 0) + ["accepted_mass"] * (k_max > 0)
+
+
+def test_m_counts_refuses_lengths_past_the_dedup_cap_at_call_time(monkeypatch):
+    calls = _spy_on_engines(monkeypatch)
+    # the cap holds k_max itself, though level k_max is never built
+    for k_max in (vest.evaluate.DEFAULT_DEDUP_CAP + 1, 10**21):
+        with pytest.raises(ResourceBound):
+            m_counts(K1, k_max)
+    m_counts(K1, vest.evaluate.DEFAULT_DEDUP_CAP)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", 3)
+    assert tuple(m_counts(K1, 3)) == (0, 1, 0, 0)
+    with pytest.raises(ResourceBound):
+        m_counts(K1, 4)
+    with pytest.raises(ResourceBound):
+        m_k_dedup(K1, 4)
+    assert calls == [("advance", 1), ("advance", 1), ("accepted_mass", 1)]
+
+
+def test_dedup_state_cap_covers_only_the_levels_built(monkeypatch):
+    # levels 0..2 of the compiled 4-cycle hold 1, 4 and 7 states: M_2 is
+    # counted from level 1, so a cap of 4 states lets it through
+    inst = reduce_graph(cycle_graph(4)).instance
+    sizes = [len(dist.entries) for dist in dedup_levels(inst, 2)]
+    assert sizes == [1, 4, 7]
+    expected = tuple(m_counts(inst, 2))
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", 4)
+    assert tuple(m_counts(inst, 2)) == expected
+    with pytest.raises(ResourceBound):
+        list(dedup_levels(inst, 2))
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", 3)
+    counts = m_counts(inst, 2)
+    assert next(counts) == 0
+    with pytest.raises(ResourceBound) as info:
+        next(counts)
+    assert "level 1 holds 4 distinct states" in str(info.value)
+
+
+def test_m_sequence_refuses_a_brute_force_job_before_counting(monkeypatch):
+    # 20000**2 sequences exceed the brute-force cap: m_sequence, which
+    # needs every length, refuses the job before the first count
+    inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * 20000,
+                        DenseMatrix(((0,),)))
+    counted = []
+    monkeypatch.setattr(vest.evaluate, "m_k_bruteforce",
+                        lambda instance, k: counted.append(k))
+    with pytest.raises(ResourceBound):
+        m_sequence(inst, 2, method="brute")
+    start = time.perf_counter()
+    with pytest.raises(ResourceBound):
+        m_sequence(inst, 10**21, method="brute")
+    assert time.perf_counter() - start < 1.0
+    assert counted == []
