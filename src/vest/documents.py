@@ -3,18 +3,21 @@
 Scalars never pass through floats. Rational entries are strings ("5", or
 "-2/3" when the denominator is not 1); GF(2) entries are the ints 0 and 1.
 Counts are decimal strings, since factorials overflow the range where JSON
-numbers survive every parser. Serialization is deterministic (sorted keys,
-two-space indent, trailing newline), so re-serializing a loaded document
-reproduces it byte for byte.
+numbers survive every parser. ``dumps`` writes every document: sorted keys,
+one top-level key per line, one line per item of a list of lists or
+objects (so each dense row, row-action object and count row is a line),
+everything else in one piece, trailing newline. All encoding runs in the C
+JSON encoder. The layout is a function of the data alone, so re-serializing
+a loaded document reproduces it byte for byte; any JSON layout loads.
 
 Instance documents are written at version 2. A transformation with a
 functional form is the object ``{"actions": [j or null, ...]}``, one source
 column (or null for a zero row) per row; any other transformation, and the
 selector, is a list of dense rows. A compiled n-vertex graph thus takes
-O(n^2) entries instead of the O(n^3) of dense vertex matrices: about 25 KB
-at n=16 and 0.9 MB at n=100. Version 1 documents, where every
-transformation is dense rows, are still read; they are no longer written.
-Count-sequence and verification documents are at version 1.
+O(n^2) entries instead of the O(n^3) of dense vertex matrices: about 9 KB
+at n=16, 52 KB at n=40 and 330 KB at n=100. Version 1 documents, where
+every transformation is dense rows, are still read; they are no longer
+written. Count-sequence and verification documents are at version 1.
 """
 
 from __future__ import annotations
@@ -59,30 +62,24 @@ class InstanceDocument:
     metadata: dict
 
 
-def _entry_to_json(semiring: Semiring, e):
-    return int(e) if semiring is Semiring.GF2 else scalar_to_string(e)
-
-
-def _matrix_to_json(semiring: Semiring, rows) -> list:
-    return [[_entry_to_json(semiring, e) for e in row] for row in rows]
-
-
 def instance_to_dict(doc: InstanceDocument) -> dict:
     inst = doc.instance
-    sem = inst.semiring
+    # one map per row: GF(2) entries are ints, rationals exact strings
+    entry = int if inst.semiring is Semiring.GF2 else scalar_to_string
     return {
         "format": INSTANCE_FORMAT,
         "version": INSTANCE_VERSION,
-        "semiring": sem.value,
+        "semiring": inst.semiring.value,
         "d": inst.d,
         "h": inst.h,
         "m": inst.m,
-        "v": [_entry_to_json(sem, e) for e in inst.v],
+        "v": list(map(entry, inst.v)),
         "transformations": [
-            _matrix_to_json(sem, t.rows) if form is None else {"actions": list(form.actions)}
+            [list(map(entry, row)) for row in t.rows] if form is None
+            else {"actions": list(form.actions)}
             for t, form in zip(inst.transformations, inst.functional_forms)
         ],
-        "selector": _matrix_to_json(sem, inst.selector.rows),
+        "selector": [list(map(entry, row)) for row in inst.selector.rows],
         "metadata": doc.metadata,
     }
 
@@ -185,8 +182,31 @@ def instance_from_dict(data: dict) -> InstanceDocument:
     return InstanceDocument(instance, dict(metadata))
 
 
+# indent=None, so every encode runs in the C encoder
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _value_text(value, indent: str) -> str:
+    """*value* as JSON. A non-empty list whose items are all lists or objects
+    is laid out one item per line; anything else, objects included, is one
+    piece of the C encoder's output."""
+    if (isinstance(value, (list, tuple)) and value
+            and all(isinstance(item, (list, tuple, dict)) for item in value)):
+        inner = indent + "  "
+        items = (",\n" + inner).join([_value_text(item, inner) for item in value])
+        return f"[\n{inner}{items}\n{indent}]"
+    return _ENCODE(value)
+
+
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """The text of a document: sorted keys, one top-level key per line, each
+    row of a matrix on a line of its own, trailing newline. It is a function
+    of the data alone, so a loaded document re-dumps byte for byte."""
+    # a key's text comes from encoding a one-item object, so that non-str
+    # keys convert exactly as json.dumps converts them
+    items = [f"{_ENCODE({key: 0})[1:-4]}: {_value_text(value, '  ')}"
+             for key, value in sorted(data.items())]
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def dumps_instance(doc: InstanceDocument) -> str:

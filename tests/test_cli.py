@@ -48,6 +48,12 @@ def test_reduce_to_stdout_splits_summary_to_stderr(p3_file, capsys):
     assert "dimension 10" in captured.err
 
 
+def test_reduce_reproduces_the_golden_document(capsys):
+    # g6_v2.json pins the written layout; CI diffs the same output against it
+    assert main(["reduce", "-i", str(DATA / "g6.txt")]) == 0
+    assert capsys.readouterr().out == (DATA / "g6_v2.json").read_text()
+
+
 def test_reduce_accepts_dimacs(tmp_path, capsys):
     path = tmp_path / "p3.col"
     path.write_text(P3_DIMACS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from vest import (
     Semiring,
     VerificationReport,
     VerificationRow,
+    VestInstance,
     instance_fingerprint,
     new_instance,
     parse_graph,
@@ -36,7 +38,7 @@ from vest.documents import (
     write_instance,
 )
 
-from helpers import path_graph, random_graph, random_rational_instance
+from helpers import path_graph, random_functional_matrix, random_graph, random_rational_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,15 +74,77 @@ def test_gf2_entries_serialize_as_ints():
     assert all(e in (0, 1) for row in data["selector"] for e in row)
 
 
+def _random_gf2_instance(rng) -> VestInstance:
+    d = rng.randint(1, 5)
+
+    def rows(count):
+        return DenseMatrix(tuple(tuple(rng.randint(0, 1) for _ in range(d)) for _ in range(count)))
+
+    transformations = [rows(d) if rng.random() < 0.5 else random_functional_matrix(rng, d)
+                       for _ in range(rng.randint(1, 3))]
+    return new_instance(Semiring.GF2, rows(1).rows[0], transformations, rows(rng.randint(1, 3)))
+
+
+# metadata travels as free JSON: int keys, nesting, empty containers, non-ASCII
+_METADATA = {
+    "ints": {1: "one", 10: [2, {3: []}]},
+    "nested": {"a": {"b": [[], {}]}, "c": [{"d": [[1], [2, 3]]}]},
+    "empty": [{}, [], ""],
+    "rows": [[1, 2], [3]],
+    "text": "Z\u00fcrich \u2192 \u2211",
+    "\u00e9": None,
+}
+
+
+def _writer_cases():
+    """(document, is an instance document) pairs of every kind written."""
+    rng = random.Random(9)
+    cases = []
+    for i in range(15):
+        for inst in (_random_gf2_instance(rng), random_rational_instance(rng)):
+            cases.append((instance_to_dict(InstanceDocument(inst, {"i": i})), True))
+    for n in (1, 4, 7):
+        g = random_graph(rng, n, 0.5)
+        for sem in Semiring:
+            inst = reduce_graph(g, sem).instance
+            cases.append((instance_to_dict(InstanceDocument(inst, _METADATA)), True))
+    for values in ((1, math.factorial(25), 0), ()):
+        cases.append((msequence_to_dict(MSequenceResult("ab" * 8, "dedup", values)), False))
+    for passed in (True, False):
+        cases.append((verification_to_dict(_sample_report(passed)), False))
+    cases.append(({"metadata": _METADATA, "list": [[{}], [[]], []], "x": 1.5}, False))
+    return cases
+
+
 def test_serialization_is_byte_stable():
-    rng = random.Random(8)
-    for _ in range(10):
-        doc = InstanceDocument(random_rational_instance(rng), {"i": 1})
-        text = dumps_instance(doc)
-        assert dumps_instance(loads_instance(text)) == text
-    compiled = InstanceDocument(reduce_graph(path_graph(3)).instance, {})
-    text = dumps_instance(compiled)
-    assert dumps_instance(loads_instance(text)) == text
+    # every kind of document parses as json.dumps would write it, and a
+    # loaded document re-dumps byte for byte
+    for data, is_instance in _writer_cases():
+        text = dumps(data)
+        assert json.loads(text) == json.loads(json.dumps(data, indent=2, sort_keys=True))
+        assert text.endswith("}\n") and text.isascii()
+        assert dumps(json.loads(text)) == text
+        if is_instance:
+            assert dumps_instance(loads_instance(text)) == text
+
+
+def test_each_selector_row_sits_on_a_line_of_its_own():
+    inst = reduce_graph(random_graph(random.Random(5), 8, 0.4)).instance
+    lines = dumps_instance(InstanceDocument(inst, {})).splitlines()
+    start = lines.index('  "selector": [') + 1
+    rows = [json.loads(line.rstrip(",")) for line in lines[start:start + inst.h]]
+    assert rows == [list(row) for row in inst.selector.rows]
+    assert lines[start + inst.h] == "  ],"
+
+
+def test_indent2_fixture_redumps_in_the_current_layout():
+    # q_small_indent2.json is q_small.json as written with json.dumps(indent=2)
+    # before rows went one per line; the loader reads any JSON layout
+    text = (DATA / "q_small.json").read_text()
+    old = loads_instance((DATA / "q_small_indent2.json").read_text())
+    assert old == loads_instance(text)
+    assert instance_fingerprint(old.instance) == "7c51e395f0a53454"
+    assert dumps_instance(old) == text
 
 
 def test_functional_instances_round_trip_to_equal_instances():
