@@ -234,15 +234,6 @@ def to_functional(matrix: Matrix) -> Optional[FunctionalMatrix]:
         raise NonSquare(f"matrix is {matrix.nrows}x{matrix.ncols}")
     actions = []
     for row in matrix.rows:
-        if type(row[0]) is int:
-            # int rows, every GF(2) row among them, are classified at C level;
-            # the counts compare with == as the loop below does
-            ones = row.count(1)
-            if ones > 1 or row.count(0) + ones != len(row):
-                return None
-            actions.append(row.index(1) if ones else None)
-            continue
-        # other rows (Fractions) usually leave this loop within an entry or two
         src = None
         for j, e in enumerate(row):
             if e == 0:

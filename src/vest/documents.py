@@ -64,8 +64,13 @@ class InstanceDocument:
 
 def instance_to_dict(doc: InstanceDocument) -> dict:
     inst = doc.instance
-    # one map per row: GF(2) entries are ints, rationals exact strings
-    entry = int if inst.semiring is Semiring.GF2 else scalar_to_string
+    # canonical GF(2) rows already hold the ints 0 and 1 and are copied as
+    # they are; rational rows map to exact strings
+    if inst.semiring is Semiring.GF2:
+        row_json = list
+    else:
+        def row_json(row):
+            return list(map(scalar_to_string, row))
     return {
         "format": INSTANCE_FORMAT,
         "version": INSTANCE_VERSION,
@@ -73,13 +78,13 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
         "d": inst.d,
         "h": inst.h,
         "m": inst.m,
-        "v": list(map(entry, inst.v)),
+        "v": row_json(inst.v),
         "transformations": [
-            [list(map(entry, row)) for row in t.rows] if form is None
+            list(map(row_json, t.rows)) if form is None
             else {"actions": list(form.actions)}
             for t, form in zip(inst.transformations, inst.functional_forms)
         ],
-        "selector": [list(map(entry, row)) for row in inst.selector.rows],
+        "selector": list(map(row_json, inst.selector.rows)),
         "metadata": doc.metadata,
     }
 
@@ -202,9 +207,7 @@ def dumps(data: dict) -> str:
     """The text of a document: sorted keys, one top-level key per line, each
     row of a matrix on a line of its own, trailing newline. It is a function
     of the data alone, so a loaded document re-dumps byte for byte."""
-    # a key's text comes from encoding a one-item object, so that non-str
-    # keys convert exactly as json.dumps converts them
-    items = [f"{_ENCODE({key: 0})[1:-4]}: {_value_text(value, '  ')}"
+    items = [f"{_ENCODE(key)}: {_value_text(value, '  ')}"
              for key, value in sorted(data.items())]
     return "{\n  " + ",\n  ".join(items) + "\n}\n"
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from vest import instance_fingerprint
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
 
@@ -94,10 +95,15 @@ def test_eval_output_file(p3_instance, tmp_path):
 
 def test_rational_fixture_counts_are_pinned(capsys):
     # q_small.json has fractional entries and dense non-functional
-    # transformations; CI diffs the same eval output against q_small_m4.txt
+    # transformations; CI diffs the same eval output against q_small_m4.txt.
+    # q_small_indent2.json is the same document in the json.dumps(indent=2)
+    # layout of earlier releases, which still loads and re-dumps to it.
     text = (DATA / "q_small.json").read_text()
     doc = loads_instance(text)
-    assert dumps_instance(doc) == text
+    assert instance_fingerprint(doc.instance) == "7c51e395f0a53454"
+    for source in (text, (DATA / "q_small_indent2.json").read_text()):
+        assert loads_instance(source) == doc
+        assert dumps_instance(loads_instance(source)) == text
     assert Reference(doc.instance).counts(4) == (0, 2, 5, 14, 41)
     pinned = (DATA / "q_small_m4.txt").read_text()
     assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 2, 5, 14, 41)))

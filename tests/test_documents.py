@@ -128,25 +128,6 @@ def test_serialization_is_byte_stable():
             assert dumps_instance(loads_instance(text)) == text
 
 
-def test_each_selector_row_sits_on_a_line_of_its_own():
-    inst = reduce_graph(random_graph(random.Random(5), 8, 0.4)).instance
-    lines = dumps_instance(InstanceDocument(inst, {})).splitlines()
-    start = lines.index('  "selector": [') + 1
-    rows = [json.loads(line.rstrip(",")) for line in lines[start:start + inst.h]]
-    assert rows == [list(row) for row in inst.selector.rows]
-    assert lines[start + inst.h] == "  ],"
-
-
-def test_indent2_fixture_redumps_in_the_current_layout():
-    # q_small_indent2.json is q_small.json as written with json.dumps(indent=2)
-    # before rows went one per line; the loader reads any JSON layout
-    text = (DATA / "q_small.json").read_text()
-    old = loads_instance((DATA / "q_small_indent2.json").read_text())
-    assert old == loads_instance(text)
-    assert instance_fingerprint(old.instance) == "7c51e395f0a53454"
-    assert dumps_instance(old) == text
-
-
 def test_functional_instances_round_trip_to_equal_instances():
     inst = reduce_graph(path_graph(3)).instance
     loaded = loads_instance(dumps_instance(InstanceDocument(inst, {}))).instance
