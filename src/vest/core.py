@@ -115,13 +115,6 @@ def canon_vector(semiring: Semiring, entries: Iterable) -> Vector:
     return tuple(semiring.canon(e) for e in entries)
 
 
-def scalar_to_string(x: Scalar) -> str:
-    """Render a scalar exactly: "p/q", or plain "p" when the denominator is 1."""
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return f"{x.numerator}/{x.denominator}"
-    return str(int(x))
-
-
 class DenseMatrix:
     """Immutable r x c matrix of exact scalars, stored row-major.
 
@@ -254,8 +247,10 @@ class VestInstance:
     it qualifies (detected automatically at construction), else None.
 
     ``_engine`` holds the evaluation engine that ``vest.evaluate.engine_for``
-    builds on first use. It takes no part in equality, and
-    ``dataclasses.replace`` starts the new instance without one.
+    builds on first use, and ``_fingerprint`` the digest that
+    ``instance_fingerprint`` computes on first use. Neither takes part in
+    equality, and ``dataclasses.replace`` starts the new instance without
+    them.
     """
 
     semiring: Semiring
@@ -264,6 +259,7 @@ class VestInstance:
     selector: DenseMatrix
     functional_forms: tuple
     _engine: object = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def d(self) -> int:
@@ -344,26 +340,29 @@ _GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> bytes:
-    """Comma-joined ``scalar_to_string`` of *entries*, encoded. GF(2) scalars
-    are the ints 0 and 1: when ``is_gf2_row`` confirms that, the text is made
-    at C level, one digit byte per entry with the commas put in between by
-    slice assignment."""
-    if semiring is not _GF2:
-        return ",".join(map(scalar_to_string, entries)).encode()
-    entries = tuple(entries)
-    if not is_gf2_row(entries):
-        return ",".join(map(str, entries)).encode()
-    text = bytearray(b",") * (2 * len(entries) - 1)
-    text[::2] = bytes(entries).translate(_GF2_DIGITS)
-    return text
+    """Comma-joined ``str`` of *entries*, encoded: a canonical rational is
+    "p/q", or "p" when its denominator is 1. GF(2) scalars are the ints 0
+    and 1: when ``is_gf2_row`` confirms that, the text is made at C level,
+    one digit byte per entry with the commas put in between by slice
+    assignment."""
+    if semiring is _GF2:
+        entries = tuple(entries)
+        if is_gf2_row(entries):
+            text = bytearray(b",") * (2 * len(entries) - 1)
+            text[::2] = bytes(entries).translate(_GF2_DIGITS)
+            return text
+    return ",".join(map(str, entries)).encode()
 
 
 def instance_fingerprint(instance: VestInstance) -> str:
     """Short stable digest of the instance's mathematical content.
 
     Transformations with a functional form are hashed through that form, so
-    dense and compact representations of the same matrix agree.
+    dense and compact representations of the same matrix agree. The digest
+    is computed on the first call and kept on the instance.
     """
+    if instance._fingerprint is not None:
+        return instance._fingerprint
     sem = instance.semiring
     h = hashlib.sha256()
     h.update(f"{sem.value};{instance.d};{instance.h};{instance.m};".encode())
@@ -381,4 +380,6 @@ def instance_fingerprint(instance: VestInstance) -> str:
             h.update(_scalars_text(sem, chain.from_iterable(t.rows)))
     h.update(b"|S")
     h.update(_scalars_text(sem, chain.from_iterable(instance.selector.rows)))
-    return h.hexdigest()[:16]
+    digest = h.hexdigest()[:16]
+    object.__setattr__(instance, "_fingerprint", digest)
+    return digest

@@ -35,7 +35,6 @@ from .core import (
     instance_fingerprint,
     is_gf2_row,
     new_instance,
-    scalar_to_string,
 )
 from .evaluate import MSequenceResult
 from .reduction import VerificationReport
@@ -65,12 +64,12 @@ class InstanceDocument:
 def instance_to_dict(doc: InstanceDocument) -> dict:
     inst = doc.instance
     # canonical GF(2) rows already hold the ints 0 and 1 and are copied as
-    # they are; rational rows map to exact strings
+    # they are; rational rows map to exact strings, "p/q" or "p"
     if inst.semiring is Semiring.GF2:
         row_json = list
     else:
         def row_json(row):
-            return list(map(scalar_to_string, row))
+            return list(map(str, row))
     return {
         "format": INSTANCE_FORMAT,
         "version": INSTANCE_VERSION,

@@ -1,13 +1,15 @@
 """Shared builders and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own data structures:
-``naive_dominating_count`` works on plain sets, ``dense_product`` on raw
-tuples and ``Reference`` on plain ``Fraction`` tuples, so they cannot
-inherit a bug from the code under test.
+``naive_dominating_count`` works on plain sets,
+``inclusion_exclusion_dominating_counts`` on plain int bitmasks,
+``dense_product`` on raw tuples and ``Reference`` on plain ``Fraction``
+tuples, so they cannot inherit a bug from the code under test.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -82,6 +84,23 @@ def naive_dominating_count(n: int, edges: Iterable[Tuple[int, int]], k: int) -> 
         if covered == everything:
             count += 1
     return count
+
+
+def inclusion_exclusion_dominating_counts(n: int, edges: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
+    """D_0..D_n, the number of dominating sets of each size, with no subset
+    of any size enumerated: D_k is the sum over vertex sets Y of
+    (-1)^|Y| C(a(Y), k), where a(Y) counts the vertices u with N[u] disjoint
+    from Y (Bjoerklund, Husfeldt and Koivisto, Set partitioning via
+    inclusion-exclusion, SIAM J. Comput. 2009). One pass over the 2^n sets Y."""
+    closed = [1 << u for u in range(n)]
+    for u, v in edges:
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    signed = [0] * (n + 1)  # signed[a]: sets Y with a(Y) = a, each counted (-1)^|Y|
+    for y in range(1 << n):
+        a = sum(1 for c in closed if not c & y)
+        signed[a] += -1 if bin(y).count("1") & 1 else 1
+    return tuple(sum(s * math.comb(a, k) for a, s in enumerate(signed)) for k in range(n + 1))
 
 
 def dense_product(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:

@@ -23,7 +23,7 @@ from vest import (
     reduce_graph,
     to_functional,
 )
-from vest.core import canon_vector, scalar_to_string
+from vest.core import canon_vector
 
 from helpers import path_graph, random_graph
 
@@ -59,12 +59,14 @@ def test_gf2_canon():
         g.canon(Fraction(1, 2))
 
 
-def test_scalar_to_string_round_trips():
+def test_scalar_text_round_trips():
+    # canonical scalars (Fractions over Q, the ints 0 and 1 over GF(2)) are
+    # written with str: "p/q", or "p" when the denominator is 1
     for x in (Fraction(-2, 3), Fraction(5), Fraction(0), 1, 0):
-        assert Fraction(scalar_to_string(x)) == x
-    assert scalar_to_string(Fraction(-2, 3)) == "-2/3"
-    assert scalar_to_string(Fraction(5)) == "5"
-    assert scalar_to_string(1) == "1"
+        assert Fraction(str(x)) == x
+    assert str(Semiring.RATIONAL.canon("-4/6")) == "-2/3"
+    assert str(Semiring.RATIONAL.canon(5)) == "5"
+    assert str(Semiring.GF2.canon(Fraction(1))) == "1"
 
 
 def test_dense_matrix_shape_checks():
@@ -260,4 +262,6 @@ def test_fingerprint_text_matches_the_joined_text():
     gf2 = instances[0]
     instances.append(dataclasses.replace(gf2, v=(True,) + gf2.v[1:]))
     for inst in instances:
-        assert instance_fingerprint(inst) == _joined_text_fingerprint(inst)
+        digest = instance_fingerprint(inst)
+        assert digest == _joined_text_fingerprint(inst)
+        assert instance_fingerprint(inst) == digest

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 import time
+import types
 import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+import vest.core
 import vest.evaluate
 from vest import (
     DenseMatrix,
@@ -33,7 +36,9 @@ from vest import (
     new_instance,
     reduce_graph,
 )
-from vest.evaluate import GenericEngine, PackedEngine, check_brute_bound, engine_for
+from vest.documents import msequence_to_dict
+from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, check_brute_bound,
+                           engine_for)
 
 from helpers import (
     Reference,
@@ -486,14 +491,34 @@ def test_instance_builds_its_engine_once(monkeypatch):
     assert engine_for(inst) is engine_for(inst)
 
 
+def test_instance_is_hashed_once(monkeypatch):
+    hashed = []
+
+    def counting_sha256(*args):
+        hashed.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(vest.core, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+    inst = reduce_graph(path_graph(3)).instance
+    dedup = m_sequence(inst, 2)
+    brute = m_sequence(inst, 2, "brute")
+    assert msequence_to_dict(dedup)["instance"] == "c856d5a204b55949"
+    assert brute.instance_fingerprint == "c856d5a204b55949"
+    assert len(hashed) == 1
+
+
 def test_replaced_instance_gets_a_fresh_engine():
     # the shape of `vest verify --corrupt`: a copy with another start vector
+    # and its own digest
     inst = reduce_graph(path_graph(3)).instance
     engine = engine_for(inst)
-    assert m_sequence(inst, 2).values == (0, 1, 6)
+    assert m_sequence(inst, 2) == MSequenceResult("c856d5a204b55949", "dedup", (0, 1, 6))
     corrupt = dataclasses.replace(inst, v=(inst.semiring.zero,) + inst.v[1:])
     assert engine_for(corrupt) is not engine
-    assert m_sequence(corrupt, 2).values != (0, 1, 6)
+    result = m_sequence(corrupt, 2)
+    assert result.values != (0, 1, 6)
+    assert result.instance_fingerprint != "c856d5a204b55949"
+    assert m_sequence(inst, 2).instance_fingerprint == "c856d5a204b55949"
     assert engine_for(inst) is engine
 
 

@@ -23,6 +23,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    inclusion_exclusion_dominating_counts,
     naive_dominating_count,
     nonisomorphic_graphs,
     path_graph,
@@ -114,6 +115,18 @@ def test_count_against_naive_oracle_random():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.adj[u] >> v & 1]
         k = rng.randint(0, n)
         assert count_dominating_sets(g, k) == naive_dominating_count(n, edges, k)
+
+
+def test_count_against_inclusion_exclusion_oracle():
+    # a second oracle that never enumerates subsets of one size
+    assert inclusion_exclusion_dominating_counts(3, [(0, 1), (1, 2)]) == (0, 1, 3, 1)
+    rng = random.Random(12)
+    graphs = [g for n in range(1, 6) for g in nonisomorphic_graphs(n)]
+    graphs += [random_graph(rng, n, p) for n in range(6, 13) for p in (0.2, 0.5, 0.8)]
+    for g in graphs:
+        edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.adj[u] >> v & 1]
+        assert (inclusion_exclusion_dominating_counts(g.n, edges)
+                == tuple(count_dominating_sets(g, k) for k in range(g.n + 1)))
 
 
 def test_count_edge_cases():
