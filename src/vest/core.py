@@ -248,9 +248,11 @@ class VestInstance:
 
     ``_engine`` holds the evaluation engine that ``vest.evaluate.engine_for``
     builds on first use, and ``_fingerprint`` the digest that
-    ``instance_fingerprint`` computes on first use. Neither takes part in
-    equality, and ``dataclasses.replace`` starts the new instance without
-    them.
+    ``instance_fingerprint`` computes on first use. Counting never asks for
+    the digest; only a read of ``MSequenceResult.instance_fingerprint`` does,
+    so an instance that is only counted keeps ``_fingerprint`` at None.
+    Neither field takes part in equality, and ``dataclasses.replace`` starts
+    the new instance without them.
     """
 
     semiring: Semiring

@@ -258,7 +258,11 @@ def msequence_from_dict(data: dict) -> MSequenceResult:
         raise DocumentError(f"unsupported document version {version}")
     fingerprint = _require(data, "instance", str, "document")
     method = _require(data, "method", str, "document")
+    if method not in ("dedup", "brute"):
+        raise DocumentError(f"unknown method {method!r}")
     raw_values = _require(data, "values", list, "document")
+    if not raw_values:
+        raise DocumentError("values: expected at least one count")
     values: List[Optional[int]] = [None] * len(raw_values)
     for i, item in enumerate(raw_values):
         if not isinstance(item, dict):

@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
     NegativeLength,
@@ -528,17 +528,46 @@ def m_k_dedup(instance: VestInstance, k: int) -> int:
     return last
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MSequenceResult:
-    """Counts M_0..M_k_max for one instance, tagged with how they were made."""
+    """Counts M_0..M_k_max for one instance, tagged with how they were made.
 
-    instance_fingerprint: str
+    A result keeps what it was built from: the counted ``VestInstance``
+    (``m_sequence``), which it keeps alive, or the digest string of a
+    count-sequence document (``msequence_from_dict``). Counting never
+    hashes: ``instance_fingerprint`` hashes the instance on its first read,
+    through ``core.instance_fingerprint``, which keeps the digest on the
+    instance. Results compare and hash by (digest, method, values), so
+    equality may hash.
+    """
+
+    _source: Union[str, VestInstance]
     method: str
     values: Tuple[int, ...]
 
     @property
+    def instance_fingerprint(self) -> str:
+        source = self._source
+        return source if isinstance(source, str) else instance_fingerprint(source)
+
+    @property
     def k_max(self) -> int:
         return len(self.values) - 1
+
+    def _key(self) -> Tuple[str, str, Tuple[int, ...]]:
+        return self.instance_fingerprint, self.method, self.values
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MSequenceResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"MSequenceResult(instance_fingerprint={self.instance_fingerprint!r}, "
+                f"method={self.method!r}, values={self.values!r})")
 
 
 def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Iterator[int]:
@@ -572,8 +601,11 @@ def _dedup_counts(instance: VestInstance, levels: Iterator[StateDistribution],
 
 
 def m_sequence(instance: VestInstance, k_max: int, method: str = "dedup") -> MSequenceResult:
-    """Compute M_0..M_k_max with the chosen method ("dedup" or "brute")."""
+    """Compute M_0..M_k_max with the chosen method ("dedup" or "brute").
+
+    The result keeps *instance*; its digest is computed only when
+    ``instance_fingerprint`` is read."""
     counts = m_counts(instance, k_max, method)
     if method == "brute":
         check_brute_bound(instance, k_max)
-    return MSequenceResult(instance_fingerprint(instance), method, tuple(counts))
+    return MSequenceResult(instance, method, tuple(counts))

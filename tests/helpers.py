@@ -9,12 +9,15 @@ tuples, so they cannot inherit a bug from the code under test.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import types
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, List, Tuple
 
+import vest.core
 from vest import DenseMatrix, FunctionalMatrix, Graph, Semiring, VestInstance, new_instance
 
 
@@ -188,3 +191,16 @@ class Reference:
                 level = nxt
             counts.append(sum(mult for x, mult in level.items() if self.killed(x)))
         return tuple(counts)
+
+
+def count_hashes(monkeypatch) -> list:
+    """Route ``vest.core``'s ``hashlib.sha256`` through a counter for the
+    rest of the test; returns the list that gets one entry per hash made."""
+    hashed = []
+
+    def counting_sha256(*args):
+        hashed.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(vest.core, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+    return hashed

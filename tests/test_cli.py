@@ -13,7 +13,7 @@ from vest import instance_fingerprint
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
 
-from helpers import Reference
+from helpers import Reference, count_hashes
 
 P3_EDGELIST = "3 2\n0 1\n1 2\n"
 P3_DIMACS = "c path\np edge 3 2\ne 1 2\ne 2 3\n"
@@ -78,6 +78,17 @@ def test_eval_json_output(p3_instance, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["format"] == "vest-msequence"
     assert [row["m_k"] for row in data["values"]] == ["0", "1", "6", "6"]
+
+
+def test_eval_hashes_only_for_json(p3_instance, capsys, monkeypatch):
+    # only the count-sequence document reads the instance's digest
+    hashed = count_hashes(monkeypatch)
+    assert main(["eval", "-i", p3_instance, "--kmax", "2"]) == 0
+    assert capsys.readouterr().out == "M_0 = 0\nM_1 = 1\nM_2 = 6\n"
+    assert hashed == []
+    assert main(["eval", "-i", p3_instance, "--kmax", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["instance"] == "c856d5a204b55949"
+    assert len(hashed) == 1
 
 
 def test_eval_methods_match(p3_instance, capsys):

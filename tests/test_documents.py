@@ -314,6 +314,10 @@ def test_msequence_rejections():
         msequence_from_dict(broken(values=[{"k": 0, "m_k": "x"}, {"k": 1, "m_k": "2"}]))
     with pytest.raises(DocumentError):
         msequence_from_dict(broken(values=["1", "2"]))
+    with pytest.raises(DocumentError, match="at least one count"):
+        msequence_from_dict(broken(values=[]))
+    with pytest.raises(DocumentError, match="unknown method 'magic'"):
+        msequence_from_dict(broken(method="magic"))
 
 
 def test_booleans_are_not_read_as_ints():

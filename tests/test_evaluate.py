@@ -36,12 +36,13 @@ from vest import (
     new_instance,
     reduce_graph,
 )
-from vest.documents import msequence_to_dict
+from vest.documents import msequence_from_dict, msequence_to_dict
 from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, check_brute_bound,
                            engine_for)
 
 from helpers import (
     Reference,
+    count_hashes,
     cycle_graph,
     edgeless_graph,
     naive_dominating_count,
@@ -505,6 +506,51 @@ def test_instance_is_hashed_once(monkeypatch):
     assert msequence_to_dict(dedup)["instance"] == "c856d5a204b55949"
     assert brute.instance_fingerprint == "c856d5a204b55949"
     assert len(hashed) == 1
+
+
+@pytest.mark.parametrize("method", ["dedup", "brute"])
+def test_counting_hashes_nothing(monkeypatch, method):
+    hashed = count_hashes(monkeypatch)
+    for inst in (reduce_graph(path_graph(3)).instance, random_rational_instance(random.Random(3))):
+        m_sequence(inst, 2, method)
+        assert inst._fingerprint is None
+    assert hashed == []
+
+
+def test_first_read_of_the_digest_hashes_once(monkeypatch):
+    hashed = count_hashes(monkeypatch)
+    inst = reduce_graph(path_graph(3)).instance
+    result = m_sequence(inst, 2)
+    assert result.instance_fingerprint == "c856d5a204b55949"
+    assert len(hashed) == 1 and inst._fingerprint == "c856d5a204b55949"
+    assert result.instance_fingerprint == "c856d5a204b55949"
+    assert msequence_to_dict(result)["instance"] == "c856d5a204b55949"
+    assert m_sequence(inst, 2, "brute").instance_fingerprint == "c856d5a204b55949"
+    assert len(hashed) == 1
+
+
+def test_document_result_equals_the_counted_result():
+    counted = m_sequence(reduce_graph(path_graph(3)).instance, 2, "brute")
+    from_digest = MSequenceResult("c856d5a204b55949", "brute", (0, 1, 6))
+    assert counted == from_digest and from_digest == counted
+    assert hash(counted) == hash(from_digest)
+    assert msequence_from_dict(msequence_to_dict(counted)) == counted
+    assert counted != MSequenceResult("c856d5a204b55948", "brute", (0, 1, 6))
+    assert counted != MSequenceResult("c856d5a204b55949", "dedup", (0, 1, 6))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        counted.method = "dedup"
+
+
+def test_replaced_copy_gets_its_own_digest_on_first_read(monkeypatch):
+    hashed = count_hashes(monkeypatch)
+    inst = reduce_graph(path_graph(3)).instance
+    assert m_sequence(inst, 2).instance_fingerprint == "c856d5a204b55949"
+    corrupt = dataclasses.replace(inst, v=(inst.semiring.zero,) + inst.v[1:])
+    result = m_sequence(corrupt, 2)
+    assert corrupt._fingerprint is None and len(hashed) == 1
+    assert result.instance_fingerprint != "c856d5a204b55949"
+    assert corrupt._fingerprint == result.instance_fingerprint
+    assert len(hashed) == 2
 
 
 def test_replaced_instance_gets_a_fresh_engine():
