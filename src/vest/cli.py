@@ -32,7 +32,7 @@ from .documents import (
     verification_to_dict,
     verification_to_text,
 )
-from .evaluate import check_sequence, m_sequence
+from .evaluate import DEDUP, METHODS, check_sequence, m_sequence
 from .graphs import Graph, count_dominating_sets, parse_graph
 from .reduction import reduce_graph, run_verification
 
@@ -161,8 +161,8 @@ def _add_semiring(cmd):
 
 
 def _add_method(cmd):
-    cmd.add_argument("--method", choices=("brute", "dedup"), default="dedup",
-                     help="evaluation strategy (default: dedup)")
+    cmd.add_argument("--method", choices=METHODS, default=DEDUP,
+                     help="evaluation strategy (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

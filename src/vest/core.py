@@ -4,9 +4,10 @@ Two semirings are supported: exact rationals (backed by ``fractions.Fraction``,
 which keeps every value in canonical gcd-reduced form with a positive
 denominator) and GF(2) (ints 0/1 with mod-2 arithmetic). Vectors are plain
 tuples of scalars. Matrices come in two immutable flavors: ``DenseMatrix``
-stores every entry; ``FunctionalMatrix`` compactly encodes a square 0/1
-matrix with at most one 1 per row as a list of row actions. Everything here
-is immutable and pure, so values can be shared freely across workers.
+stores every entry; ``FunctionalMatrix`` compactly encodes an r x c 0/1
+matrix with at most one 1 per row (square unless a column count is given)
+as a tuple of row actions. Everything here is immutable and pure, so values
+can be shared freely across workers.
 """
 
 from __future__ import annotations
@@ -160,38 +161,46 @@ class DenseMatrix:
 
 
 class FunctionalMatrix:
-    """Square 0/1 matrix with at most one 1 per row, stored as row actions.
+    """r x c 0/1 matrix with at most one 1 per row, stored as row actions.
 
     Action ``None`` is the all-zero row; action ``j`` is the unit row that
-    copies column j. Applying such a matrix never adds two entries, so a 0/1
-    vector stays 0/1 and the result is the same in both semirings.
+    copies column j. The column count *ncols* defaults to the number of
+    rows, so a matrix built from actions alone is square, as every
+    transformation must be; a compiled selector is 2n x (3n+1). Applying
+    such a matrix never adds two entries, so a 0/1 vector stays 0/1 and the
+    result is the same in both semirings.
     """
 
-    __slots__ = ("actions",)
+    __slots__ = ("actions", "ncols")
 
-    def __init__(self, actions: Iterable[Optional[int]]):
+    def __init__(self, actions: Iterable[Optional[int]], ncols: Optional[int] = None):
         acts = tuple(actions)
         if not acts:
             raise DimensionMismatch("matrix must have at least one row")
-        d = len(acts)
+        c = len(acts) if ncols is None else ncols
         for j in acts:
-            if j is not None and not 0 <= j < d:
-                raise DimensionMismatch(f"copy source {j} outside [0, {d})")
+            if j is not None and not 0 <= j < c:
+                raise DimensionMismatch(f"copy source {j} outside [0, {c})")
         self.actions = acts
+        self.ncols = c
 
     @property
-    def dim(self) -> int:
+    def nrows(self) -> int:
         return len(self.actions)
 
-    nrows = dim
-    ncols = dim
+    dim = nrows
+
+    @property
+    def rows(self) -> tuple:
+        """The dense rows, built on each read; no hot path reads them."""
+        return self.dense().rows
 
     def dense(self) -> DenseMatrix:
         """Expand to the equivalent dense 0/1 matrix."""
-        d = len(self.actions)
+        c = self.ncols
         rows = []
         for j in self.actions:
-            row = [0] * d
+            row = [0] * c
             if j is not None:
                 row[j] = 1
             rows.append(tuple(row))
@@ -199,7 +208,7 @@ class FunctionalMatrix:
 
     def __eq__(self, other):
         if isinstance(other, FunctionalMatrix):
-            return self.actions == other.actions
+            return self.actions == other.actions and self.ncols == other.ncols
         if isinstance(other, DenseMatrix):
             return self.dense().rows == other.rows
         return NotImplemented
@@ -208,7 +217,7 @@ class FunctionalMatrix:
         return hash(self.dense().rows)
 
     def __repr__(self):
-        return f"FunctionalMatrix(dim={self.dim})"
+        return f"FunctionalMatrix({self.nrows}x{self.ncols})"
 
 
 Matrix = Union[DenseMatrix, FunctionalMatrix]
@@ -221,10 +230,10 @@ def to_functional(matrix: Matrix) -> Optional[FunctionalMatrix]:
     or more ones; that is a classification result, not an error. Non-square input
     raises NonSquare.
     """
-    if isinstance(matrix, FunctionalMatrix):
-        return matrix
     if matrix.nrows != matrix.ncols:
         raise NonSquare(f"matrix is {matrix.nrows}x{matrix.ncols}")
+    if isinstance(matrix, FunctionalMatrix):
+        return matrix
     actions = []
     for row in matrix.rows:
         src = None
@@ -245,6 +254,9 @@ class VestInstance:
 
     ``functional_forms[i]`` is the row-action form of transformation i when
     it qualifies (detected automatically at construction), else None.
+    ``selector`` is an h x d ``FunctionalMatrix`` when it was given as one,
+    or when it is a GF(2) matrix with at most one 1 per row; otherwise it is
+    a canonical ``DenseMatrix``.
 
     ``_engine`` holds the evaluation engine that ``vest.evaluate.engine_for``
     builds on first use, and ``_fingerprint`` the digest that
@@ -258,7 +270,7 @@ class VestInstance:
     semiring: Semiring
     v: Vector
     transformations: tuple
-    selector: DenseMatrix
+    selector: Matrix
     functional_forms: tuple
     _engine: object = field(default=None, init=False, repr=False, compare=False)
     _fingerprint: Optional[str] = field(default=None, init=False, repr=False, compare=False)
@@ -296,7 +308,11 @@ def new_instance(
     """Validate, canonicalize, and classify a raw instance description.
 
     Every scalar is canonicalized for *semiring*; functional forms are
-    detected and cached for every transformation that qualifies.
+    detected and cached for every transformation that qualifies. A
+    ``FunctionalMatrix`` selector with d columns is kept as given. A dense
+    GF(2) selector whose rows each hold at most one 1 is stored as row
+    actions; any other dense selector, every rational one included, is
+    stored as canonical dense rows.
     """
     trans = tuple(transformations)
     if not trans:
@@ -310,9 +326,9 @@ def new_instance(
     forms = []
     for idx, t in enumerate(trans):
         if isinstance(t, FunctionalMatrix):
-            if t.dim != d:
+            if t.nrows != d or t.ncols != d:
                 raise DimensionMismatch(
-                    f"transformation {idx} is {t.dim}x{t.dim}, expected {d}x{d}")
+                    f"transformation {idx} is {t.nrows}x{t.ncols}, expected {d}x{d}")
             stored.append(t)
             forms.append(t)
         elif isinstance(t, DenseMatrix):
@@ -325,16 +341,29 @@ def new_instance(
         else:
             raise TypeError(f"transformation {idx} is not a matrix: {type(t).__name__}")
 
-    if isinstance(selector, FunctionalMatrix):
-        selector = selector.dense()
-    if not isinstance(selector, DenseMatrix):
+    if not isinstance(selector, (DenseMatrix, FunctionalMatrix)):
         raise TypeError(f"selector is not a matrix: {type(selector).__name__}")
     if selector.ncols != d:
         raise DimensionMismatch(
             f"selector has {selector.ncols} columns, expected {d}")
-    sel = DenseMatrix(tuple(canon_vector(semiring, row) for row in selector.rows))
+    if isinstance(selector, DenseMatrix):
+        rows = tuple(canon_vector(semiring, row) for row in selector.rows)
+        actions = _gf2_actions(rows) if semiring is _GF2 else None
+        selector = DenseMatrix(rows) if actions is None else FunctionalMatrix(actions, d)
 
-    return VestInstance(semiring, vv, tuple(stored), sel, tuple(forms))
+    return VestInstance(semiring, vv, tuple(stored), selector, tuple(forms))
+
+
+def _gf2_actions(rows: Sequence[Vector]) -> Optional[list]:
+    """Row actions of canonical GF(2) rows, or None when some row holds two
+    or more 1s. Each row is counted and searched at C level."""
+    actions = []
+    for row in rows:
+        ones = row.count(1)
+        if ones > 1:
+            return None
+        actions.append(row.index(1) if ones else None)
+    return actions
 
 
 # bytes.translate table that turns the bytes 0 and 1 into the digits "0" and "1"
@@ -354,6 +383,22 @@ def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> bytes:
             text[::2] = bytes(entries).translate(_GF2_DIGITS)
             return text
     return ",".join(map(str, entries)).encode()
+
+
+def _selector_text(semiring: Semiring, selector: Matrix) -> bytes:
+    """``_scalars_text`` of the selector's entries, row after row. A selector
+    held as row actions is written from its positions: every entry "0",
+    then one "1" per row that copies a column. Canonical 0 and 1 read "0"
+    and "1" in both semirings, so the text equals that of the dense rows."""
+    if isinstance(selector, DenseMatrix):
+        return _scalars_text(semiring, chain.from_iterable(selector.rows))
+    c, one = selector.ncols, ord("1")
+    text = bytearray(b"0,") * (len(selector.actions) * c)
+    del text[-1]
+    for start, j in zip(range(0, len(text), 2 * c), selector.actions):
+        if j is not None:
+            text[start + 2 * j] = one
+    return text
 
 
 def instance_fingerprint(instance: VestInstance) -> str:
@@ -381,7 +426,7 @@ def instance_fingerprint(instance: VestInstance) -> str:
             h.update(b"|D")
             h.update(_scalars_text(sem, chain.from_iterable(t.rows)))
     h.update(b"|S")
-    h.update(_scalars_text(sem, chain.from_iterable(instance.selector.rows)))
+    h.update(_selector_text(sem, instance.selector))
     digest = h.hexdigest()[:16]
     object.__setattr__(instance, "_fingerprint", digest)
     return digest

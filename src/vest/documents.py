@@ -13,7 +13,11 @@ a loaded document reproduces it byte for byte; any JSON layout loads.
 Instance documents are written at version 2. A transformation with a
 functional form is the object ``{"actions": [j or null, ...]}``, one source
 column (or null for a zero row) per row; any other transformation, and the
-selector, is a list of dense rows. A compiled n-vertex graph thus takes
+selector, is a list of dense rows. A selector held as row actions (every
+compiled one) is still written as dense rows, built straight from its
+actions; a dense GF(2) selector read back with at most one 1 per row is
+held as row actions again, so a compiled document loads to the form that
+``reduce_graph`` made. A compiled n-vertex graph thus takes
 O(n^2) entries instead of the O(n^3) of dense vertex matrices: about 9 KB
 at n=16, 52 KB at n=40 and 330 KB at n=100. Version 1 documents, where
 every transformation is dense rows, are still read; they are no longer
@@ -36,7 +40,7 @@ from .core import (
     is_gf2_row,
     new_instance,
 )
-from .evaluate import MSequenceResult
+from .evaluate import METHODS, MSequenceResult
 from .reduction import VerificationReport
 
 INSTANCE_FORMAT = "vest-instance"
@@ -66,10 +70,12 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
     # canonical GF(2) rows already hold the ints 0 and 1 and are copied as
     # they are; rational rows map to exact strings, "p/q" or "p"
     if inst.semiring is Semiring.GF2:
-        row_json = list
+        row_json, zero, one = list, 0, 1
     else:
         def row_json(row):
             return list(map(str, row))
+        zero, one = "0", "1"
+    sel = inst.selector
     return {
         "format": INSTANCE_FORMAT,
         "version": INSTANCE_VERSION,
@@ -83,9 +89,23 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
             else {"actions": list(form.actions)}
             for t, form in zip(inst.transformations, inst.functional_forms)
         ],
-        "selector": list(map(row_json, inst.selector.rows)),
+        "selector": (_unit_rows(sel, zero, one) if isinstance(sel, FunctionalMatrix)
+                     else list(map(row_json, sel.rows))),
         "metadata": doc.metadata,
     }
+
+
+def _unit_rows(matrix: FunctionalMatrix, zero, one) -> list:
+    """The dense rows of a row-action matrix as JSON lists of *zero* and
+    *one*, built from the actions without a ``DenseMatrix``."""
+    blank = [zero] * matrix.ncols
+    rows = []
+    for j in matrix.actions:
+        row = blank.copy()
+        if j is not None:
+            row[j] = one
+        rows.append(row)
+    return rows
 
 
 def _require(obj: dict, key: str, kinds, where: str):
@@ -258,7 +278,7 @@ def msequence_from_dict(data: dict) -> MSequenceResult:
         raise DocumentError(f"unsupported document version {version}")
     fingerprint = _require(data, "instance", str, "document")
     method = _require(data, "method", str, "document")
-    if method not in ("dedup", "brute"):
+    if method not in METHODS:
         raise DocumentError(f"unknown method {method!r}")
     raw_values = _require(data, "values", list, "document")
     if not raw_values:

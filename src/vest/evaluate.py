@@ -43,6 +43,7 @@ from itertools import compress
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 from .core import (
+    FunctionalMatrix,
     NegativeLength,
     ResourceBound,
     Scalar,
@@ -54,6 +55,11 @@ from .core import (
 
 DEFAULT_BRUTE_CAP = 10**8
 DEFAULT_DEDUP_CAP = 10**8
+
+# The count methods: "brute" enumerates every sequence, "dedup" merges
+# sequences that reach one state. Every caller names them through these.
+BRUTE, DEDUP = "brute", "dedup"
+METHODS = (BRUTE, DEDUP)
 
 
 class IndexOutOfRange(VestError):
@@ -154,13 +160,24 @@ def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[int, tuple, tuple]:
     return fixed, lefts, rights
 
 
-def _bit_mask(row: tuple, one: Scalar, ones: int) -> int:
-    """Bitmask of the *ones* positions where *row* holds *one*."""
-    mask, j = 0, -1
-    for _ in range(ones):
-        j = row.index(one, j + 1)
-        mask |= 1 << j
-    return mask
+def _selector_masks(semiring: Semiring, rows: Sequence[tuple]) -> Tuple[int, Tuple[int, ...]]:
+    """(union mask, parity masks) of dense 0/1 selector rows; see
+    ``PackedEngine``. An entry outside {0, 1} raises ``ValueError``."""
+    one, zero = semiring.one, semiring.zero
+    union, parity = 0, []
+    for row in rows:
+        ones = row.count(one)
+        if ones + row.count(zero) != len(row):
+            raise ValueError("selector has an entry outside {0, 1}")
+        mask, j = 0, -1
+        for _ in range(ones):
+            j = row.index(one, j + 1)
+            mask |= 1 << j
+        if ones > 1 and semiring is Semiring.GF2:
+            parity.append(mask)
+        else:
+            union |= mask
+    return union, tuple(parity)
 
 
 class PackedEngine:
@@ -174,9 +191,11 @@ class PackedEngine:
     selector test runs directly on the packed state. A row with at most one
     1, or any row over the rationals, sums to nonzero exactly when one of
     its selected bits is set, so all such rows share one union mask. A GF(2)
-    row with two or more 1s needs even parity of its selected bits. Any
-    other instance raises ``ValueError``; ``engine_for`` gives it a
-    ``GenericEngine``.
+    row with two or more 1s needs even parity of its selected bits. A
+    selector held as row actions (``FunctionalMatrix``) is all union rows,
+    so its mask is the OR of ``1 << j`` over its actions and no row is
+    scanned. Any other instance raises ``ValueError``; ``engine_for`` gives
+    it a ``GenericEngine``.
 
     A union-mask bit whose closure under every action holds no ``None``
     (``_closures``) can never clear once that whole closure is set, so
@@ -191,25 +210,20 @@ class PackedEngine:
     def __init__(self, instance: VestInstance):
         if not instance.packed_ready:
             raise ValueError("instance does not qualify for the packed path")
-        semiring = instance.semiring
-        one, zero = semiring.one, semiring.zero
-        rows = instance.selector.rows
-        ones = [row.count(one) for row in rows]
-        if any(c + row.count(zero) != len(row) for c, row in zip(ones, rows)):
-            raise ValueError("selector has an entry outside {0, 1}")
+        selector = instance.selector
+        if isinstance(selector, FunctionalMatrix):
+            union, parity = 0, ()
+            for j in selector.actions:
+                if j is not None:
+                    union |= 1 << j
+        else:
+            union, parity = _selector_masks(instance.semiring, selector.rows)
+        self._union_mask, self._parity_masks = union, parity
         self._plans = tuple(_shift_groups(form.actions) for form in instance.functional_forms)
         initial = 0
         for i in compress(range(instance.d), instance.v):
             initial |= 1 << i
         self._initial = initial
-        union, parity = 0, []
-        for row, c in zip(rows, ones):
-            mask = _bit_mask(row, one, c)
-            if c > 1 and semiring is Semiring.GF2:
-                parity.append(mask)
-            else:
-                union |= mask
-        self._union_mask, self._parity_masks = union, tuple(parity)
         # closures and preimages are left to their first use: checks never
         # need them
         self._actions = tuple(form.actions for form in instance.functional_forms)
@@ -570,7 +584,7 @@ class MSequenceResult:
                 f"method={self.method!r}, values={self.values!r})")
 
 
-def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Iterator[int]:
+def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterator[int]:
     """M_0..M_k_max, one per ``next``.
 
     "dedup" yields the annihilated mass of each level of ``dedup_levels``
@@ -584,10 +598,10 @@ def m_counts(instance: VestInstance, k_max: int, method: str = "dedup") -> Itera
     consume every length test *k_max* first with ``check_brute_bound``."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
-    if method == "dedup":
+    if method == DEDUP:
         _check_dedup_length(k_max)
         return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
-    if method == "brute":
+    if method == BRUTE:
         return (m_k_bruteforce(instance, k) for k in range(k_max + 1))
     raise ValueError(f"unknown method {method!r}")
 
@@ -600,12 +614,12 @@ def _dedup_counts(instance: VestInstance, levels: Iterator[StateDistribution],
         yield engine_for(instance).accepted_mass(last.entries)
 
 
-def m_sequence(instance: VestInstance, k_max: int, method: str = "dedup") -> MSequenceResult:
+def m_sequence(instance: VestInstance, k_max: int, method: str = DEDUP) -> MSequenceResult:
     """Compute M_0..M_k_max with the chosen method ("dedup" or "brute").
 
     The result keeps *instance*; its digest is computed only when
     ``instance_fingerprint`` is read."""
     counts = m_counts(instance, k_max, method)
-    if method == "brute":
+    if method == BRUTE:
         check_brute_bound(instance, k_max)
     return MSequenceResult(instance, method, tuple(counts))

@@ -16,7 +16,9 @@ listings of size-k dominating sets, giving M_k = k! * D_k where D_k counts
 dominating sets of size exactly k.
 
 All matrices built here are functional (0/1 with at most one 1 per row), so
-reduced instances always qualify for the packed evaluation path.
+reduced instances always qualify for the packed evaluation path. They are
+built and kept as row actions, the 2n x (3n + 1) selector included, so no
+compiled matrix is ever held as dense rows.
 ``run_verification`` checks that identity on a given graph.
 """
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
-from .evaluate import check_brute_bound, m_counts
+from .evaluate import BRUTE, DEDUP, check_brute_bound, m_counts
 from .graphs import Graph, count_dominating_sets, mask_vertices
 
 
@@ -93,19 +95,13 @@ def build_vertex_matrix(g: Graph, layout: CoordinateLayout, u: int) -> DenseMatr
     return build_vertex_action(g, layout, u).dense()
 
 
-def build_selector(g: Graph, layout: CoordinateLayout) -> DenseMatrix:
-    """2n rows: for each vertex, one row reading its uncovered flag and one
-    reading its chosen-twice slot."""
-    d = layout.dimension
-    rows = []
+def build_selector(g: Graph, layout: CoordinateLayout) -> FunctionalMatrix:
+    """2n x d row actions: for each vertex, one row reading its uncovered
+    flag and one reading its chosen-twice slot."""
+    actions = []
     for u in range(layout.n):
-        row = [0] * d
-        row[layout.uncovered(u)] = 1
-        rows.append(tuple(row))
-        row = [0] * d
-        row[layout.chosen_twice(u)] = 1
-        rows.append(tuple(row))
-    return DenseMatrix(rows)
+        actions += (layout.uncovered(u), layout.chosen_twice(u))
+    return FunctionalMatrix(actions, layout.dimension)
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def run_verification(
     g: Graph,
     k_max: int,
     semiring: Semiring = Semiring.GF2,
-    evaluator: str = "dedup",
+    evaluator: str = DEDUP,
     _corrupt: bool = False,
 ) -> VerificationReport:
     """Compile *g*, count M_0..M_k_max with *evaluator* ("dedup" or
@@ -180,7 +176,7 @@ def run_verification(
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])
     counts = m_counts(instance, k_max, evaluator)
-    if evaluator == "brute":
+    if evaluator == BRUTE:
         check_brute_bound(instance, k_max)
     rows = []
     for k in range(k_max + 1):

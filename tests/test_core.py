@@ -97,6 +97,31 @@ def test_functional_matrix_validation():
         FunctionalMatrix((0, -1, 1))
 
 
+def test_functional_matrix_with_a_column_count():
+    f = FunctionalMatrix((3, None), 4)
+    assert (f.nrows, f.ncols) == (2, 4)
+    assert f.dense().rows == ((0, 0, 0, 1), (0, 0, 0, 0))
+    assert f.rows == f.dense().rows
+    assert f == f.dense() and hash(f) == hash(f.dense())
+    assert repr(f) == "FunctionalMatrix(2x4)"
+    assert FunctionalMatrix((0, 1)).ncols == 2
+    # a source at or past the column count
+    with pytest.raises(DimensionMismatch):
+        FunctionalMatrix((0, 3), 3)
+    with pytest.raises(DimensionMismatch):
+        FunctionalMatrix((0, 4), 3)
+    with pytest.raises(NonSquare):
+        to_functional(f)
+
+
+def test_functional_matrices_of_different_widths_differ():
+    narrow, wide = FunctionalMatrix((0, 1), 3), FunctionalMatrix((0, 1), 4)
+    assert narrow != wide and wide != narrow
+    assert narrow.dense() != wide and narrow != wide.dense()
+    assert narrow == FunctionalMatrix((0, 1), 3)
+    assert repr(narrow) != repr(wide)
+
+
 def test_functional_dense_expansion():
     f = FunctionalMatrix((1, None, 0))
     assert f.dense().rows == ((0, 1, 0), (0, 0, 0), (1, 0, 0))
@@ -145,6 +170,33 @@ def test_new_instance_validation():
         new_instance(Semiring.RATIONAL, (), (t,), sel)
     with pytest.raises(NonBinaryEntry):
         new_instance(Semiring.GF2, (1, 0), (DenseMatrix(((2, 0), (0, 1))),), sel)
+    # a transformation held as row actions must be d x d too
+    for wrong in (FunctionalMatrix((0, 1), 3), FunctionalMatrix((0, 1, None), 2)):
+        with pytest.raises(DimensionMismatch):
+            new_instance(Semiring.GF2, (1, 0), (wrong,), sel)
+    # so must a selector held as row actions have d columns
+    for semiring in Semiring:
+        with pytest.raises(DimensionMismatch):
+            new_instance(semiring, (1, 0), (t,), FunctionalMatrix((0,), 3))
+        with pytest.raises(DimensionMismatch):
+            new_instance(semiring, (1, 0, 1), (DenseMatrix.identity(3),), FunctionalMatrix((0,)))
+
+
+def test_selector_forms():
+    t = DenseMatrix.identity(3)
+    actions = FunctionalMatrix((2, None, 0), 3)
+    dense = actions.dense()
+    for semiring in Semiring:
+        # row actions are kept as given
+        assert new_instance(semiring, (1, 0, 1), (t,), actions).selector is actions
+    # a dense GF(2) selector with at most one 1 per row becomes row actions
+    sel = new_instance(Semiring.GF2, (1, 0, 1), (t,), dense).selector
+    assert isinstance(sel, FunctionalMatrix) and sel.actions == (2, None, 0) and sel.ncols == 3
+    # a GF(2) parity row, and every dense rational selector, stay dense
+    parity = DenseMatrix(((1, 0, 1), (0, 1, 0)))
+    assert isinstance(new_instance(Semiring.GF2, (1, 0, 1), (t,), parity).selector, DenseMatrix)
+    sel = new_instance(Semiring.RATIONAL, (1, 0, 1), (t,), dense).selector
+    assert isinstance(sel, DenseMatrix) and sel == actions
 
 
 def test_new_instance_canonicalizes_and_classifies():

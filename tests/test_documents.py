@@ -221,6 +221,16 @@ def test_version_1_documents_still_load(name, graph_file, fingerprint):
                                                                   doc.metadata))
 
 
+@pytest.mark.parametrize("name", ["g6_v1.json", "g6_v2.json"])
+def test_compiled_documents_load_the_selector_as_row_actions(name):
+    # both versions write the selector as dense rows of single 1s
+    doc = read_instance(str(DATA / name))
+    compiled = reduce_graph(parse_graph((DATA / "g6.txt").read_text())).instance
+    assert isinstance(doc.instance.selector, FunctionalMatrix)
+    assert doc.instance.selector.actions == compiled.selector.actions
+    assert doc.instance.selector.ncols == doc.instance.d == 19
+
+
 def test_version_1_and_2_documents_agree():
     rng = random.Random(44)
     instances = [random_rational_instance(rng) for _ in range(40)]

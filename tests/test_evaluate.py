@@ -29,6 +29,7 @@ from vest import (
     annihilated_mass,
     check_sequence,
     dedup_levels,
+    instance_fingerprint,
     m_counts,
     m_k_bruteforce,
     m_k_dedup,
@@ -36,7 +37,8 @@ from vest import (
     new_instance,
     reduce_graph,
 )
-from vest.documents import msequence_from_dict, msequence_to_dict
+from vest.documents import (InstanceDocument, dumps_instance, loads_instance,
+                            msequence_from_dict, msequence_to_dict)
 from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, check_brute_bound,
                            engine_for)
 
@@ -48,6 +50,7 @@ from helpers import (
     naive_dominating_count,
     path_graph,
     random_functional_matrix,
+    random_graph,
     random_rational_instance,
     random_scalar,
 )
@@ -901,3 +904,79 @@ def test_m_sequence_refuses_a_brute_force_job_before_counting(monkeypatch):
         m_sequence(inst, 10**21, method="brute")
     assert time.perf_counter() - start < 1.0
     assert counted == []
+
+
+def _generic_counts(instance, k_max):
+    """M_0..M_k_max on a ``GenericEngine`` built here, whatever engine
+    ``engine_for`` would pick, every level built and tested in full."""
+    engine = GenericEngine(instance)
+    level, counts = {engine.initial(): 1}, []
+    for k in range(k_max + 1):
+        if k:
+            level = engine.advance(level)
+        counts.append(sum(mult for state, mult in level.items() if engine.annihilates(state)))
+    return tuple(counts)
+
+
+def _selector_twins(rng, semiring):
+    """One instance built twice, its selector given once as row actions and
+    once as the equal dense matrix. The start vector is 0/1, and some
+    selector rows are zero; some instances carry a dense transformation, so
+    ``engine_for`` picks either engine."""
+    d = rng.randint(1, 9)
+    v = tuple(rng.randint(0, 1) for _ in range(d))
+    ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        entry = ((lambda: rng.randint(0, 1)) if semiring is Semiring.GF2
+                 else lambda: random_scalar(rng))
+        ts.append(DenseMatrix([[entry() for _ in range(d)] for _ in range(d)]))
+    actions = FunctionalMatrix([None if rng.random() < 0.3 else rng.randrange(d)
+                                for _ in range(rng.randint(1, 5))], d)
+    return (new_instance(semiring, v, ts, actions),
+            new_instance(semiring, v, ts, actions.dense()))
+
+
+@pytest.mark.parametrize("semiring", list(Semiring))
+def test_dense_and_action_selectors_agree(semiring):
+    rng = random.Random(f"selector-twins:{semiring.value}")
+    twins = [_selector_twins(rng, semiring) for _ in range(40)]
+    for n in (1, 3, 5):
+        inst = reduce_graph(random_graph(rng, n, 0.5), semiring).instance
+        twins.append((inst, new_instance(semiring, inst.v, inst.transformations,
+                                         inst.selector.dense())))
+    assert any(None in by_actions.selector.actions for by_actions, _ in twins)
+    for by_actions, by_rows in twins:
+        assert isinstance(by_actions.selector, FunctionalMatrix)
+        # new_instance keeps a dense GF(2) selector of single 1s as row
+        # actions; held as canonical dense rows, it must still agree
+        assert isinstance(by_rows.selector,
+                          FunctionalMatrix if semiring is Semiring.GF2 else DenseMatrix)
+        held_dense = dataclasses.replace(by_actions, selector=DenseMatrix(
+            [[semiring.canon(e) for e in row] for row in by_actions.selector.rows]))
+        text = dumps_instance(InstanceDocument(by_actions, {}))
+        expected = Reference(held_dense).counts(3)
+        for inst in (by_actions, by_rows, held_dense):
+            assert inst == by_actions and hash(inst) == hash(by_actions)
+            assert instance_fingerprint(inst) == instance_fingerprint(by_actions)
+            assert dumps_instance(InstanceDocument(inst, {})) == text
+            assert m_sequence(inst, 3).values == expected
+            assert m_sequence(inst, 3, method="brute").values == expected
+            assert _generic_counts(inst, 3) == expected
+            assert Reference(inst).counts(3) == expected
+
+
+@pytest.mark.parametrize("semiring", list(Semiring))
+def test_hashing_writing_and_engines_never_expand_the_selector(monkeypatch, semiring):
+    def refuse(self):
+        raise AssertionError("dense() called")
+
+    instances = [reduce_graph(path_graph(4), semiring).instance,
+                 loads_instance(dumps_instance(InstanceDocument(
+                     reduce_graph(cycle_graph(5)).instance, {}))).instance]
+    monkeypatch.setattr(FunctionalMatrix, "dense", refuse)
+    for inst in instances:
+        assert isinstance(inst.selector, FunctionalMatrix)
+        instance_fingerprint(inst)
+        dumps_instance(InstanceDocument(inst, {}))
+        assert isinstance(engine_for(inst), PackedEngine)
+        m_sequence(inst, 2)
