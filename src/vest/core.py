@@ -6,8 +6,12 @@ denominator) and GF(2) (ints 0/1 with mod-2 arithmetic). Vectors are plain
 tuples of scalars. Matrices come in two immutable flavors: ``DenseMatrix``
 stores every entry; ``FunctionalMatrix`` compactly encodes an r x c 0/1
 matrix with at most one 1 per row (square unless a column count is given)
-as a tuple of row actions. Everything here is immutable and pure, so values
-can be shared freely across workers.
+as a tuple of row actions. ``new_instance`` is the one place that picks a
+matrix's stored form, by one rule for every transformation and the
+selector in both semirings: a matrix that qualifies as row actions is held
+only as a ``FunctionalMatrix``, any other one as canonical dense rows.
+Everything here is immutable and pure, so values can be shared freely
+across workers.
 """
 
 from __future__ import annotations
@@ -154,7 +158,9 @@ class DenseMatrix:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.rows)
+        # the hash of the equal FunctionalMatrix when the rows qualify
+        actions = _row_actions(self.rows)
+        return hash(self.rows if actions is None else (self.ncols, tuple(actions)))
 
     def __repr__(self):
         return f"DenseMatrix({self.nrows}x{self.ncols})"
@@ -188,8 +194,6 @@ class FunctionalMatrix:
     def nrows(self) -> int:
         return len(self.actions)
 
-    dim = nrows
-
     @property
     def rows(self) -> tuple:
         """The dense rows, built on each read; no hot path reads them."""
@@ -214,7 +218,7 @@ class FunctionalMatrix:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.dense().rows)
+        return hash((self.ncols, self.actions))
 
     def __repr__(self):
         return f"FunctionalMatrix({self.nrows}x{self.ncols})"
@@ -223,40 +227,45 @@ class FunctionalMatrix:
 Matrix = Union[DenseMatrix, FunctionalMatrix]
 
 
+def _row_actions(rows: Iterable[Sequence]) -> Optional[list]:
+    """Row actions of *rows*, or None when some entry lies outside {0, 1} or
+    some row holds two or more 1s. Each row is counted and searched at C
+    level, by equality with the ints 0 and 1, so a Fraction or bool entry
+    classifies by its value."""
+    actions = []
+    for row in rows:
+        ones = row.count(1)
+        if ones > 1 or ones + row.count(0) != len(row):
+            return None
+        actions.append(row.index(1) if ones else None)
+    return actions
+
+
 def to_functional(matrix: Matrix) -> Optional[FunctionalMatrix]:
     """Classify a square matrix, returning its row-action form.
 
     Returns None when some entry lies outside {0, 1} or some row carries two
-    or more ones; that is a classification result, not an error. Non-square input
-    raises NonSquare.
+    or more ones; that is a classification result, not an error. Non-square
+    input raises NonSquare. ``new_instance`` applies the same rule, so every
+    transformation of an instance that qualifies is already held in this
+    form.
     """
     if matrix.nrows != matrix.ncols:
         raise NonSquare(f"matrix is {matrix.nrows}x{matrix.ncols}")
     if isinstance(matrix, FunctionalMatrix):
         return matrix
-    actions = []
-    for row in matrix.rows:
-        src = None
-        for j, e in enumerate(row):
-            if e == 0:
-                continue
-            if e == 1 and src is None:
-                src = j
-            else:
-                return None
-        actions.append(src)
-    return FunctionalMatrix(actions)
+    actions = _row_actions(matrix.rows)
+    return None if actions is None else FunctionalMatrix(actions)
 
 
 @dataclass(frozen=True)
 class VestInstance:
     """A validated instance: start vector, m square transformations, selector.
 
-    ``functional_forms[i]`` is the row-action form of transformation i when
-    it qualifies (detected automatically at construction), else None.
-    ``selector`` is an h x d ``FunctionalMatrix`` when it was given as one,
-    or when it is a GF(2) matrix with at most one 1 per row; otherwise it is
-    a canonical ``DenseMatrix``.
+    Each transformation, and the selector, is held in one form, the one
+    ``new_instance`` picks: a ``FunctionalMatrix`` when it is a 0/1 matrix
+    with at most one 1 per row, else a canonical ``DenseMatrix``.
+    ``functional_forms`` reads the first kind off ``transformations``.
 
     ``_engine`` holds the evaluation engine that ``vest.evaluate.engine_for``
     builds on first use, and ``_fingerprint`` the digest that
@@ -271,7 +280,6 @@ class VestInstance:
     v: Vector
     transformations: tuple
     selector: Matrix
-    functional_forms: tuple
     _engine: object = field(default=None, init=False, repr=False, compare=False)
     _fingerprint: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
@@ -288,8 +296,15 @@ class VestInstance:
         return self.selector.nrows
 
     @property
+    def functional_forms(self) -> tuple:
+        """Per transformation: itself when it is held as row actions, else
+        None."""
+        return tuple(t if isinstance(t, FunctionalMatrix) else None
+                     for t in self.transformations)
+
+    @property
     def all_functional(self) -> bool:
-        return all(f is not None for f in self.functional_forms)
+        return all(isinstance(t, FunctionalMatrix) for t in self.transformations)
 
     @property
     def packed_ready(self) -> bool:
@@ -307,12 +322,12 @@ def new_instance(
 ) -> VestInstance:
     """Validate, canonicalize, and classify a raw instance description.
 
-    Every scalar is canonicalized for *semiring*; functional forms are
-    detected and cached for every transformation that qualifies. A
-    ``FunctionalMatrix`` selector with d columns is kept as given. A dense
-    GF(2) selector whose rows each hold at most one 1 is stored as row
-    actions; any other dense selector, every rational one included, is
-    stored as canonical dense rows.
+    Every scalar is canonicalized for *semiring*. Each transformation (d x d)
+    and the selector (d columns) then get their one stored form
+    (``_stored_form``): a ``FunctionalMatrix`` is kept as given; a
+    ``DenseMatrix`` whose canonical entries are all 0 or 1, with at most one
+    1 per row, is held only as row actions; any other dense matrix is held
+    as canonical dense rows. The rule is the same in both semirings.
     """
     trans = tuple(transformations)
     if not trans:
@@ -321,49 +336,28 @@ def new_instance(
     d = len(vv)
     if d == 0:
         raise DimensionMismatch("the start vector must have dimension >= 1")
+    stored = tuple(_stored_form(semiring, t, d, d, f"transformation {idx}")
+                   for idx, t in enumerate(trans))
+    return VestInstance(semiring, vv, stored,
+                        _stored_form(semiring, selector, None, d, "selector"))
 
-    stored = []
-    forms = []
-    for idx, t in enumerate(trans):
-        if isinstance(t, FunctionalMatrix):
-            if t.nrows != d or t.ncols != d:
-                raise DimensionMismatch(
-                    f"transformation {idx} is {t.nrows}x{t.ncols}, expected {d}x{d}")
-            stored.append(t)
-            forms.append(t)
-        elif isinstance(t, DenseMatrix):
-            if t.nrows != d or t.ncols != d:
-                raise DimensionMismatch(
-                    f"transformation {idx} is {t.nrows}x{t.ncols}, expected {d}x{d}")
-            canon = DenseMatrix(tuple(canon_vector(semiring, row) for row in t.rows))
-            stored.append(canon)
-            forms.append(to_functional(canon))
-        else:
-            raise TypeError(f"transformation {idx} is not a matrix: {type(t).__name__}")
 
-    if not isinstance(selector, (DenseMatrix, FunctionalMatrix)):
-        raise TypeError(f"selector is not a matrix: {type(selector).__name__}")
-    if selector.ncols != d:
+def _stored_form(semiring: Semiring, matrix: Matrix, nrows: Optional[int], ncols: int,
+                 what: str) -> Matrix:
+    """*matrix* checked to be *nrows* x *ncols* (any row count when *nrows*
+    is None) and put in the form an instance holds it in; see
+    ``new_instance``."""
+    if not isinstance(matrix, (DenseMatrix, FunctionalMatrix)):
+        raise TypeError(f"{what} is not a matrix: {type(matrix).__name__}")
+    if matrix.ncols != ncols or (nrows is not None and matrix.nrows != nrows):
+        expected = f"{ncols} columns" if nrows is None else f"{nrows}x{ncols}"
         raise DimensionMismatch(
-            f"selector has {selector.ncols} columns, expected {d}")
-    if isinstance(selector, DenseMatrix):
-        rows = tuple(canon_vector(semiring, row) for row in selector.rows)
-        actions = _gf2_actions(rows) if semiring is _GF2 else None
-        selector = DenseMatrix(rows) if actions is None else FunctionalMatrix(actions, d)
-
-    return VestInstance(semiring, vv, tuple(stored), selector, tuple(forms))
-
-
-def _gf2_actions(rows: Sequence[Vector]) -> Optional[list]:
-    """Row actions of canonical GF(2) rows, or None when some row holds two
-    or more 1s. Each row is counted and searched at C level."""
-    actions = []
-    for row in rows:
-        ones = row.count(1)
-        if ones > 1:
-            return None
-        actions.append(row.index(1) if ones else None)
-    return actions
+            f"{what} is {matrix.nrows}x{matrix.ncols}, expected {expected}")
+    if isinstance(matrix, FunctionalMatrix):
+        return matrix
+    rows = tuple(canon_vector(semiring, row) for row in matrix.rows)
+    actions = _row_actions(rows)
+    return DenseMatrix(rows) if actions is None else FunctionalMatrix(actions, ncols)
 
 
 # bytes.translate table that turns the bytes 0 and 1 into the digits "0" and "1"
@@ -404,9 +398,10 @@ def _selector_text(semiring: Semiring, selector: Matrix) -> bytes:
 def instance_fingerprint(instance: VestInstance) -> str:
     """Short stable digest of the instance's mathematical content.
 
-    Transformations with a functional form are hashed through that form, so
-    dense and compact representations of the same matrix agree. The digest
-    is computed on the first call and kept on the instance.
+    Transformations held as row actions are hashed through them, others
+    through their dense entries; ``new_instance`` gives every matrix one
+    form, so equal instances give equal digests. The digest is computed on
+    the first call and kept on the instance.
     """
     if instance._fingerprint is not None:
         return instance._fingerprint
@@ -415,13 +410,13 @@ def instance_fingerprint(instance: VestInstance) -> str:
     h.update(f"{sem.value};{instance.d};{instance.h};{instance.m};".encode())
     h.update(_scalars_text(sem, instance.v))
     action_text = None
-    for t, form in zip(instance.transformations, instance.functional_forms):
-        if form is not None:
+    for t in instance.transformations:
+        if isinstance(t, FunctionalMatrix):
             if action_text is None:  # row actions are ints below d, or None: "z"
                 action_text = dict(zip(range(instance.d), map(str, range(instance.d))))
                 action_text[None] = "z"
             h.update(b"|F")
-            h.update(",".join(map(action_text.__getitem__, form.actions)).encode())
+            h.update(",".join(map(action_text.__getitem__, t.actions)).encode())
         else:
             h.update(b"|D")
             h.update(_scalars_text(sem, chain.from_iterable(t.rows)))

@@ -10,18 +10,20 @@ everything else in one piece, trailing newline. All encoding runs in the C
 JSON encoder. The layout is a function of the data alone, so re-serializing
 a loaded document reproduces it byte for byte; any JSON layout loads.
 
-Instance documents are written at version 2. A transformation with a
-functional form is the object ``{"actions": [j or null, ...]}``, one source
-column (or null for a zero row) per row; any other transformation, and the
+Instance documents are written at version 2. A transformation held as row
+actions is the object ``{"actions": [j or null, ...]}``, one source column
+(or null for a zero row) per row; any other transformation, and the
 selector, is a list of dense rows. A selector held as row actions (every
 compiled one) is still written as dense rows, built straight from its
-actions; a dense GF(2) selector read back with at most one 1 per row is
-held as row actions again, so a compiled document loads to the form that
-``reduce_graph`` made. A compiled n-vertex graph thus takes
-O(n^2) entries instead of the O(n^3) of dense vertex matrices: about 9 KB
-at n=16, 52 KB at n=40 and 330 KB at n=100. Version 1 documents, where
-every transformation is dense rows, are still read; they are no longer
-written. Count-sequence and verification documents are at version 1.
+actions. Dense rows read back go through ``new_instance``, which holds a
+matrix of 0/1 entries with at most one 1 per row as row actions only, in
+either semiring: a compiled document of either version loads to the form
+that ``reduce_graph`` made, with no dense copy. A compiled n-vertex graph
+thus takes O(n^2) entries instead of the O(n^3) of dense vertex matrices:
+about 9 KB at n=16, 52 KB at n=40 and 330 KB at n=100. Version 1
+documents, where every transformation is dense rows, are still read; they
+are no longer written. Count-sequence and verification documents are at
+version 1.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
         "m": inst.m,
         "v": row_json(inst.v),
         "transformations": [
-            list(map(row_json, t.rows)) if form is None
-            else {"actions": list(form.actions)}
-            for t, form in zip(inst.transformations, inst.functional_forms)
+            {"actions": list(t.actions)} if isinstance(t, FunctionalMatrix)
+            else list(map(row_json, t.rows))
+            for t in inst.transformations
         ],
         "selector": (_unit_rows(sel, zero, one) if isinstance(sel, FunctionalMatrix)
                      else list(map(row_json, sel.rows))),

@@ -94,15 +94,14 @@ class GenericEngine:
         integral = tuple if gf2 else _integral
         self._mask = 1 if gf2 else -1
         self._initial = integral((instance.v,))[0]
-        forms = instance.functional_forms
-        # a functional transformation copies entries: row i reads entry
-        # sources[i], and a zero row reads the 0 that step appends at -1
+        # a transformation held as row actions copies entries: row i reads
+        # entry sources[i], and a zero row reads the 0 that step appends at -1
+        ts = instance.transformations
         self._sources = tuple(
-            None if form is None else tuple(-1 if j is None else j for j in form.actions)
-            for form in forms)
+            tuple(-1 if j is None else j for j in t.actions)
+            if isinstance(t, FunctionalMatrix) else None for t in ts)
         self._rows = tuple(
-            integral(t.rows) if form is None else None
-            for t, form in zip(instance.transformations, forms))
+            None if isinstance(t, FunctionalMatrix) else integral(t.rows) for t in ts)
         self._selector = tuple(integral((row,))[0] for row in instance.selector.rows)
 
     def initial(self) -> Tuple[int, ...]:
@@ -219,14 +218,14 @@ class PackedEngine:
         else:
             union, parity = _selector_masks(instance.semiring, selector.rows)
         self._union_mask, self._parity_masks = union, parity
-        self._plans = tuple(_shift_groups(form.actions) for form in instance.functional_forms)
+        self._plans = tuple(_shift_groups(t.actions) for t in instance.transformations)
         initial = 0
         for i in compress(range(instance.d), instance.v):
             initial |= 1 << i
         self._initial = initial
         # closures and preimages are left to their first use: checks never
         # need them
-        self._actions = tuple(form.actions for form in instance.functional_forms)
+        self._actions = tuple(t.actions for t in instance.transformations)
         self._absorbing = None
         self._preimages = None
 

@@ -88,7 +88,7 @@ def test_identity_matrix():
 
 def test_functional_matrix_validation():
     f = FunctionalMatrix((None, 0, 2))
-    assert f.dim == 3
+    assert f.nrows == 3
     with pytest.raises(DimensionMismatch):
         FunctionalMatrix(())
     with pytest.raises(DimensionMismatch):
@@ -189,14 +189,18 @@ def test_selector_forms():
     for semiring in Semiring:
         # row actions are kept as given
         assert new_instance(semiring, (1, 0, 1), (t,), actions).selector is actions
-    # a dense GF(2) selector with at most one 1 per row becomes row actions
-    sel = new_instance(Semiring.GF2, (1, 0, 1), (t,), dense).selector
-    assert isinstance(sel, FunctionalMatrix) and sel.actions == (2, None, 0) and sel.ncols == 3
-    # a GF(2) parity row, and every dense rational selector, stay dense
-    parity = DenseMatrix(((1, 0, 1), (0, 1, 0)))
-    assert isinstance(new_instance(Semiring.GF2, (1, 0, 1), (t,), parity).selector, DenseMatrix)
-    sel = new_instance(Semiring.RATIONAL, (1, 0, 1), (t,), dense).selector
-    assert isinstance(sel, DenseMatrix) and sel == actions
+        # a dense selector with at most one 1 per row becomes row actions,
+        # in both semirings, whatever the type of its entries
+        for given in (dense, DenseMatrix([[Fraction(e) for e in row] for row in dense.rows])):
+            sel = new_instance(semiring, (1, 0, 1), (t,), given).selector
+            assert isinstance(sel, FunctionalMatrix) and sel == actions and sel.ncols == 3
+        # a row with two 1s stays dense
+        parity = DenseMatrix(((1, 0, 1), (0, 1, 0)))
+        assert isinstance(new_instance(semiring, (1, 0, 1), (t,), parity).selector, DenseMatrix)
+    # and so does a rational selector with an entry outside {0, 1}
+    scaled = DenseMatrix(((0, 0, 2),))
+    assert isinstance(new_instance(Semiring.RATIONAL, (1, 0, 1), (t,), scaled).selector,
+                      DenseMatrix)
 
 
 def test_new_instance_canonicalizes_and_classifies():
@@ -208,8 +212,11 @@ def test_new_instance_canonicalizes_and_classifies():
     )
     assert inst.v == (Fraction(1, 2), Fraction(1))
     assert inst.d == 2 and inst.m == 2 and inst.h == 1
-    assert inst.functional_forms[0] == FunctionalMatrix((0, None))
-    assert inst.functional_forms[1] is None
+    # a qualifying dense transformation is held only as row actions
+    assert isinstance(inst.transformations[0], FunctionalMatrix)
+    assert inst.transformations[0] == FunctionalMatrix((0, None)) == DenseMatrix(((1, 0), (0, 0)))
+    assert isinstance(inst.transformations[1], DenseMatrix)
+    assert inst.functional_forms == (inst.transformations[0], None)
     assert not inst.all_functional
     assert not inst.packed_ready
 

@@ -214,6 +214,10 @@ def test_version_1_documents_still_load(name, graph_file, fingerprint):
     g = path_graph(3) if graph_file is None else parse_graph((DATA / graph_file).read_text())
     doc = loads_instance(text)
     assert doc.instance == reduce_graph(g).instance
+    # every dense vertex matrix is held only as row actions
+    transformations = doc.instance.transformations
+    assert all(isinstance(t, FunctionalMatrix) for t in transformations)
+    assert all(form is t for form, t in zip(doc.instance.functional_forms, transformations))
     assert instance_fingerprint(doc.instance) == fingerprint
     assert doc.metadata["source_vertices"] == g.n
     # re-dumped as version 2, byte for byte what reduce writes today

@@ -947,10 +947,9 @@ def test_dense_and_action_selectors_agree(semiring):
     assert any(None in by_actions.selector.actions for by_actions, _ in twins)
     for by_actions, by_rows in twins:
         assert isinstance(by_actions.selector, FunctionalMatrix)
-        # new_instance keeps a dense GF(2) selector of single 1s as row
-        # actions; held as canonical dense rows, it must still agree
-        assert isinstance(by_rows.selector,
-                          FunctionalMatrix if semiring is Semiring.GF2 else DenseMatrix)
+        # new_instance keeps a dense selector of single 1s as row actions,
+        # in both semirings; held as canonical dense rows, it must still agree
+        assert isinstance(by_rows.selector, FunctionalMatrix)
         held_dense = dataclasses.replace(by_actions, selector=DenseMatrix(
             [[semiring.canon(e) for e in row] for row in by_actions.selector.rows]))
         text = dumps_instance(InstanceDocument(by_actions, {}))
@@ -977,6 +976,7 @@ def test_hashing_writing_and_engines_never_expand_the_selector(monkeypatch, semi
     for inst in instances:
         assert isinstance(inst.selector, FunctionalMatrix)
         instance_fingerprint(inst)
+        hash(inst)
         dumps_instance(InstanceDocument(inst, {}))
         assert isinstance(engine_for(inst), PackedEngine)
         m_sequence(inst, 2)
