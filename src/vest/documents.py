@@ -10,19 +10,21 @@ everything else in one piece, trailing newline. All encoding runs in the C
 JSON encoder. The layout is a function of the data alone, so re-serializing
 a loaded document reproduces it byte for byte; any JSON layout loads.
 
-Instance documents are written at version 2. A transformation held as row
-actions is the object ``{"actions": [j or null, ...]}``, one source column
-(or null for a zero row) per row; any other transformation, and the
-selector, is a list of dense rows. A selector held as row actions (every
-compiled one) is still written as dense rows, built straight from its
-actions. Dense rows read back go through ``new_instance``, which holds a
-matrix of 0/1 entries with at most one 1 per row as row actions only, in
-either semiring: a compiled document of either version loads to the form
-that ``reduce_graph`` made, with no dense copy. A compiled n-vertex graph
-thus takes O(n^2) entries instead of the O(n^3) of dense vertex matrices:
-about 9 KB at n=16, 52 KB at n=40 and 330 KB at n=100. Version 1
-documents, where every transformation is dense rows, are still read; they
-are no longer written. Count-sequence and verification documents are at
+Instance documents are written at version 3. A matrix held as row
+actions, a transformation or the selector, is the object ``{"actions":
+[j or null, ...]}``: one source column (or null for a zero row) per row,
+the column count being ``d``. Any other matrix (one with an entry
+outside {0, 1} or a row of two 1s) is a list of dense rows. A compiled
+n-vertex graph thus takes O(n^2) entries, none of them in dense rows but
+the start vector: about 4.1 KB at n=16, 13 KB at n=30 and 150 KB at
+n=100. Versions 1 (every matrix dense rows) and 2 (the selector dense
+rows) are still read; they are no longer written. Dense entries are not
+checked on the way in: ``new_instance`` canonicalizes and checks every
+entry once (so JSON true and false read as 1 and 0), and holds a dense
+matrix of 0/1 entries with at most one 1 per row as row actions only, so
+a document of any version loads to the form that ``reduce_graph`` made.
+Only when it refuses an entry is the document searched for that entry,
+to name its place. Count-sequence and verification documents are at
 version 1.
 """
 
@@ -35,11 +37,11 @@ from typing import List, Optional
 from .core import (
     DenseMatrix,
     FunctionalMatrix,
+    Matrix,
     Semiring,
     VestError,
     VestInstance,
     instance_fingerprint,
-    is_gf2_row,
     new_instance,
 )
 from .evaluate import METHODS, MSequenceResult
@@ -49,8 +51,8 @@ INSTANCE_FORMAT = "vest-instance"
 MSEQUENCE_FORMAT = "vest-msequence"
 # The instance format is written at INSTANCE_VERSION and read at every
 # version in INSTANCE_VERSIONS; the other documents are at FORMAT_VERSION.
-INSTANCE_VERSION = 2
-INSTANCE_VERSIONS = (1, 2)
+INSTANCE_VERSION = 3
+INSTANCE_VERSIONS = (1, 2, 3)
 FORMAT_VERSION = 1
 _ACTION_TYPES = frozenset((int, type(None)))
 
@@ -72,12 +74,16 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
     # canonical GF(2) rows already hold the ints 0 and 1 and are copied as
     # they are; rational rows map to exact strings, "p/q" or "p"
     if inst.semiring is Semiring.GF2:
-        row_json, zero, one = list, 0, 1
+        row_json = list
     else:
         def row_json(row):
             return list(map(str, row))
-        zero, one = "0", "1"
-    sel = inst.selector
+
+    def matrix_json(matrix):
+        if isinstance(matrix, FunctionalMatrix):
+            return {"actions": list(matrix.actions)}
+        return list(map(row_json, matrix.rows))
+
     return {
         "format": INSTANCE_FORMAT,
         "version": INSTANCE_VERSION,
@@ -86,28 +92,10 @@ def instance_to_dict(doc: InstanceDocument) -> dict:
         "h": inst.h,
         "m": inst.m,
         "v": row_json(inst.v),
-        "transformations": [
-            {"actions": list(t.actions)} if isinstance(t, FunctionalMatrix)
-            else list(map(row_json, t.rows))
-            for t in inst.transformations
-        ],
-        "selector": (_unit_rows(sel, zero, one) if isinstance(sel, FunctionalMatrix)
-                     else list(map(row_json, sel.rows))),
+        "transformations": list(map(matrix_json, inst.transformations)),
+        "selector": matrix_json(inst.selector),
         "metadata": doc.metadata,
     }
-
-
-def _unit_rows(matrix: FunctionalMatrix, zero, one) -> list:
-    """The dense rows of a row-action matrix as JSON lists of *zero* and
-    *one*, built from the actions without a ``DenseMatrix``."""
-    blank = [zero] * matrix.ncols
-    rows = []
-    for j in matrix.actions:
-        row = blank.copy()
-        if j is not None:
-            row[j] = one
-        rows.append(row)
-    return rows
 
 
 def _require(obj: dict, key: str, kinds, where: str):
@@ -120,49 +108,57 @@ def _require(obj: dict, key: str, kinds, where: str):
     return val
 
 
-def _parse_entry(semiring: Semiring, raw, where: str):
-    if isinstance(raw, bool) or isinstance(raw, float):
-        raise DocumentError(f"{where}: entry {raw!r} must be an int or string")
-    if not isinstance(raw, (int, str)):
-        raise DocumentError(f"{where}: entry {raw!r} must be an int or string")
-    try:
-        return semiring.canon(raw)
-    except (VestError, ValueError, ZeroDivisionError, TypeError) as exc:
-        raise DocumentError(f"{where}: bad entry {raw!r}: {exc}") from None
-
-
-def _parse_vector(semiring: Semiring, raw: list, where: str) -> tuple:
-    # A GF(2) row of int 0s and 1s is checked at C level; entry by entry
-    # parsing then runs only for rows that hold something else, to accept
-    # the strings "0" and "1" or to name the bad entry.
-    if semiring is Semiring.GF2 and is_gf2_row(raw):
-        return tuple(raw)
-    return tuple(_parse_entry(semiring, e, where) for e in raw)
-
-
-def _parse_matrix(semiring: Semiring, raw, where: str) -> DenseMatrix:
-    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
-        raise DocumentError(f"{where}: expected a non-empty list of rows")
-    rows = [_parse_vector(semiring, r, f"{where} row {i}") for i, r in enumerate(raw)]
-    try:
-        return DenseMatrix(rows)
-    except VestError as exc:
-        raise DocumentError(f"{where}: {exc}") from None
-
-
-def _parse_actions(raw: dict, d: int, where: str) -> FunctionalMatrix:
+def _actions_matrix(raw: dict, nrows: Optional[int], d: int, where: str) -> FunctionalMatrix:
+    """The row-action object *raw* as a matrix with *d* columns and, unless
+    *nrows* is None, that many rows."""
     if raw.keys() != {"actions"}:
         raise DocumentError(f"{where}: expected an object with the single key 'actions'")
     actions = _require(raw, "actions", list, where)
-    if len(actions) != d:
-        raise DocumentError(f"{where}: {len(actions)} actions, expected {d}")
+    if nrows is not None and len(actions) != nrows:
+        raise DocumentError(f"{where}: {len(actions)} actions, expected {nrows}")
     if not set(map(type, actions)) <= _ACTION_TYPES:
         bad = next(a for a in actions if type(a) not in _ACTION_TYPES)
         raise DocumentError(f"{where}: action {bad!r} must be an int or null")
     try:
-        return FunctionalMatrix(actions)
+        return FunctionalMatrix(actions, d)
     except VestError as exc:
         raise DocumentError(f"{where}: {exc}") from None
+
+
+def _read_matrix(raw, nrows: Optional[int], d: int, actions_since: int, version: int,
+                 where: str) -> Matrix:
+    """One matrix field: a row-action object, read at *actions_since* and
+    later versions, or a non-empty list of dense rows. Dense entries are
+    left as they were loaded; ``new_instance`` canonicalizes and checks
+    them."""
+    if isinstance(raw, dict):
+        if version < actions_since:
+            raise DocumentError(
+                f"{where}: row actions need document version {actions_since} or later")
+        return _actions_matrix(raw, nrows, d, where)
+    if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
+        raise DocumentError(f"{where}: expected a non-empty list of rows")
+    try:
+        return DenseMatrix(raw)
+    except VestError as exc:
+        raise DocumentError(f"{where}: {exc}") from None
+
+
+def _name_bad_entry(semiring: Semiring, v: list, transformations: list, selector) -> None:
+    """Raise a ``DocumentError`` naming the first entry of the dense rows of
+    a document (*v*, then each transformation and the selector given as
+    rows) that *semiring* does not accept; return when there is none."""
+    rows = [("v", v)]
+    fields = [(f"transformation {i}", t) for i, t in enumerate(transformations)]
+    for where, raw in fields + [("selector", selector)]:
+        if isinstance(raw, list):
+            rows += [(f"{where} row {i}", row) for i, row in enumerate(raw)]
+    for where, row in rows:
+        for entry in row:
+            try:
+                semiring.canon(entry)
+            except (VestError, ValueError, ZeroDivisionError, TypeError) as exc:
+                raise DocumentError(f"{where}: bad entry {entry!r}: {exc}") from None
 
 
 def instance_from_dict(data: dict) -> InstanceDocument:
@@ -180,26 +176,27 @@ def instance_from_dict(data: dict) -> InstanceDocument:
     except ValueError:
         raise DocumentError(f"unknown semiring {sem_tag!r}") from None
 
-    raw_v = _require(data, "v", list, "document")
-    v = _parse_vector(sem, raw_v, "v")
+    v = _require(data, "v", list, "document")
+    d = len(v)
     raw_ts = _require(data, "transformations", list, "document")
     if not raw_ts:
         raise DocumentError("document: transformation list is empty")
-    # row actions are a version 2 form; version 1 has dense rows only
-    transformations = [
-        _parse_actions(t, len(v), f"transformation {i}")
-        if version >= 2 and isinstance(t, dict) else
-        _parse_matrix(sem, t, f"transformation {i}")
-        for i, t in enumerate(raw_ts)
-    ]
-    selector = _parse_matrix(sem, _require(data, "selector", list, "document"), "selector")
+    # row actions are a version 2 form for a transformation and a version 3
+    # form for the selector; version 1 has dense rows only
+    transformations = [_read_matrix(t, d, d, 2, version, f"transformation {i}")
+                       for i, t in enumerate(raw_ts)]
+    raw_sel = _require(data, "selector", (list, dict), "document")
+    selector = _read_matrix(raw_sel, None, d, 3, version, "selector")
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise DocumentError("document: metadata must be an object")
 
     try:
         instance = new_instance(sem, v, transformations, selector)
-    except VestError as exc:
+    except (VestError, ValueError, ZeroDivisionError, TypeError) as exc:
+        # new_instance checks every entry once; only a refusal pays for
+        # finding the first bad one by its place in the document
+        _name_bad_entry(sem, v, raw_ts, raw_sel)
         raise DocumentError(f"document describes an invalid instance: {exc}") from None
 
     for key, actual in (("d", instance.d), ("h", instance.h), ("m", instance.m)):
@@ -240,7 +237,7 @@ def dumps_instance(doc: InstanceDocument) -> str:
 def loads_instance(text: str) -> InstanceDocument:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
         raise DocumentError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: nested too deeply to parse") from None

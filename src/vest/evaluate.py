@@ -83,10 +83,13 @@ class GenericEngine:
     exact vector, which changes no verdict: ``S(cx) = 0`` exactly when
     ``Sx = 0``, and ``T(cx) = cTx``. Over GF(2) entries are already the ints
     0 and 1, and every sum is taken mod 2: ``& 1``. Over the rationals the
-    same ``& mask`` is ``& -1``, which keeps every int as it is.
+    same ``& mask`` is ``& -1``, which keeps every int as it is. A selector
+    held as row actions is read through them: a row that copies entry j is
+    zero exactly when entry j is, and a zero row always is, so the state is
+    annihilated when every copied entry is zero.
     """
 
-    __slots__ = ("_initial", "_rows", "_sources", "_selector", "_mask")
+    __slots__ = ("_initial", "_rows", "_sources", "_selector", "_watched", "_mask")
 
     def __init__(self, instance: VestInstance):
         gf2 = instance.semiring is Semiring.GF2
@@ -102,7 +105,13 @@ class GenericEngine:
             if isinstance(t, FunctionalMatrix) else None for t in ts)
         self._rows = tuple(
             None if isinstance(t, FunctionalMatrix) else integral(t.rows) for t in ts)
-        self._selector = tuple(integral((row,))[0] for row in instance.selector.rows)
+        sel = instance.selector
+        if isinstance(sel, FunctionalMatrix):
+            self._watched = tuple(set(sel.actions) - {None})
+            self._selector = None
+        else:
+            self._watched = None
+            self._selector = tuple(integral((row,))[0] for row in sel.rows)
 
     def initial(self) -> Tuple[int, ...]:
         return self._initial
@@ -115,6 +124,8 @@ class GenericEngine:
         return tuple([sum(map(operator.mul, row, state)) & mask for row in rows])
 
     def annihilates(self, state: Tuple[int, ...]) -> bool:
+        if self._selector is None:
+            return not any(map(state.__getitem__, self._watched))
         mask = self._mask
         return not any(sum(map(operator.mul, row, state)) & mask for row in self._selector)
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from vest import instance_fingerprint
+from vest import Semiring, instance_fingerprint, parse_graph, reduce_graph
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
 
@@ -50,9 +50,9 @@ def test_reduce_to_stdout_splits_summary_to_stderr(p3_file, capsys):
 
 
 def test_reduce_reproduces_the_golden_document(capsys):
-    # g6_v2.json pins the written layout; CI diffs the same output against it
+    # g6_v3.json pins the written layout; CI diffs the same output against it
     assert main(["reduce", "-i", str(DATA / "g6.txt")]) == 0
-    assert capsys.readouterr().out == (DATA / "g6_v2.json").read_text()
+    assert capsys.readouterr().out == (DATA / "g6_v3.json").read_text()
 
 
 def test_reduce_accepts_dimacs(tmp_path, capsys):
@@ -65,7 +65,13 @@ def test_reduce_accepts_dimacs(tmp_path, capsys):
 
 def test_reduce_semiring_flag(p3_file, capsys):
     assert main(["reduce", "-i", p3_file, "--semiring", "q"]) == 0
-    assert loads_instance(capsys.readouterr().out).instance.semiring.value == "q"
+    text = capsys.readouterr().out
+    doc = loads_instance(text)
+    assert doc.instance.semiring.value == "q"
+    # written at version 3, the selector as row actions, and read back
+    assert json.loads(text)["selector"] == {"actions": [0, 1, 3, 4, 6, 7]}
+    assert doc.instance == reduce_graph(parse_graph(P3_EDGELIST), Semiring.RATIONAL).instance
+    assert dumps_instance(doc) == text
 
 
 def test_eval_text_output(p3_instance, capsys):
@@ -264,11 +270,21 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 def _bad_instance_documents(good_path, tmp_path):
     good = json.loads(open(good_path).read())
+    d, actions = good["d"], good["selector"]["actions"]
     broken = {
         "deep": "[" * 100000,
-        "version3": json.dumps(dict(good, version=3)),
+        "long_int": '{"v": [' + "1" * 5000 + "]}",
+        "version4": json.dumps(dict(good, version=4)),
         "action": json.dumps(dict(good, transformations=[{"actions": [True] * good["d"]}])),
+        "selector_v2": json.dumps(dict(good, version=2)),
+        "dense_entry": json.dumps(dict(good, v=[2] * d)),
     }
+    for i, selector in enumerate([
+            {"actions": [d] + actions[1:]}, {"actions": [-1] + actions[1:]},
+            {"actions": [True] + actions[1:]}, {"actions": [0.5] + actions[1:]},
+            {"actions": ["0"] + actions[1:]}, {"actions": []}, {},
+            {"actions": actions, "extra": 1}]):
+        broken[f"selector{i}"] = json.dumps(dict(good, selector=selector))
     for name, text in broken.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text)

@@ -57,21 +57,36 @@ def test_rational_instance_round_trip():
 
 
 def test_rationals_serialize_as_strings():
-    # a matrix that is not functional stays dense rows of exact strings
+    # a matrix that is not functional stays dense rows of exact strings; a
+    # selector of single 1s is written as its row actions
     inst = new_instance(
         Semiring.RATIONAL, (Fraction(1, 2), 1),
         (DenseMatrix(((1, Fraction(-2, 3)), (0, 5))),), DenseMatrix(((1, 0),)))
     data = instance_to_dict(InstanceDocument(inst, {}))
     assert data["v"] == ["1/2", "1"]
     assert data["transformations"][0] == [["1", "-2/3"], ["0", "5"]]
-    assert data["selector"] == [["1", "0"]]
+    assert data["selector"] == {"actions": [0]}
 
 
 def test_gf2_entries_serialize_as_ints():
     inst = reduce_graph(path_graph(2)).instance
     data = instance_to_dict(InstanceDocument(inst, {}))
     assert all(e in (0, 1) for e in data["v"])
-    assert all(e in (0, 1) for row in data["selector"] for e in row)
+    assert all(type(j) is int for j in data["selector"]["actions"])
+
+
+@pytest.mark.parametrize("semiring, rows, written", [
+    # an entry outside {0, 1}, or two 1s in a row, keeps the dense rows
+    (Semiring.RATIONAL, ((1, Fraction(1, 2)),), [["1", "1/2"]]),
+    (Semiring.RATIONAL, ((1, 1), (0, 0)), [["1", "1"], ["0", "0"]]),
+    (Semiring.GF2, ((1, 1), (0, 1)), [[1, 1], [0, 1]]),
+])
+def test_selectors_that_are_not_row_actions_stay_dense_rows(semiring, rows, written):
+    inst = new_instance(semiring, (1, 0), (FunctionalMatrix((1, 0)),), DenseMatrix(rows))
+    assert isinstance(inst.selector, DenseMatrix)
+    text = dumps_instance(InstanceDocument(inst, {}))
+    assert json.loads(text)["selector"] == written
+    assert loads_instance(text).instance == inst
 
 
 def _random_gf2_instance(rng) -> VestInstance:
@@ -171,7 +186,7 @@ def test_instance_document_rejections():
     with pytest.raises(DocumentError):
         loads_instance(broken(format="something-else"))
     with pytest.raises(DocumentError):
-        loads_instance(broken(version=3))
+        loads_instance(broken(version=4))
     with pytest.raises(DocumentError):
         loads_instance(broken(semiring="gf3"))
     with pytest.raises(DocumentError):
@@ -191,15 +206,20 @@ def test_instance_document_rejections():
         loads_instance(broken(v=[2] + good["v"][1:]))
 
 
-def _v1_text(inst, metadata) -> str:
-    """The version 1 document of *inst*: every transformation as dense rows.
-    The library no longer writes version 1; this is the reference."""
+def _dense_rows(inst, matrix) -> list:
+    rows = matrix.dense().rows if isinstance(matrix, FunctionalMatrix) else matrix.rows
+    return [[e if inst.semiring is Semiring.GF2 else str(e) for e in row] for row in rows]
+
+
+def _old_text(inst, metadata, version) -> str:
+    """The document of *inst* at *version* 1 or 2, which the library no
+    longer writes: the selector as dense rows and, at version 1, every
+    transformation too."""
     data = instance_to_dict(InstanceDocument(inst, metadata))
-    data["version"] = 1
-    data["transformations"] = [
-        [[e if inst.semiring is Semiring.GF2 else str(e) for e in row]
-         for row in (t.dense().rows if isinstance(t, FunctionalMatrix) else t.rows)]
-        for t in inst.transformations]
+    data["version"] = version
+    data["selector"] = _dense_rows(inst, inst.selector)
+    if version == 1:
+        data["transformations"] = [_dense_rows(inst, t) for t in inst.transformations]
     return dumps(data)
 
 
@@ -220,19 +240,22 @@ def test_version_1_documents_still_load(name, graph_file, fingerprint):
     assert all(form is t for form, t in zip(doc.instance.functional_forms, transformations))
     assert instance_fingerprint(doc.instance) == fingerprint
     assert doc.metadata["source_vertices"] == g.n
-    # re-dumped as version 2, byte for byte what reduce writes today
+    # re-dumped as version 3, byte for byte what reduce writes today
     assert dumps_instance(doc) == dumps_instance(InstanceDocument(reduce_graph(g).instance,
                                                                   doc.metadata))
 
 
-@pytest.mark.parametrize("name", ["g6_v1.json", "g6_v2.json"])
+@pytest.mark.parametrize("name", ["g6_v1.json", "g6_v2.json", "g6_v3.json"])
 def test_compiled_documents_load_the_selector_as_row_actions(name):
-    # both versions write the selector as dense rows of single 1s
+    # versions 1 and 2 write the selector as dense rows of single 1s,
+    # version 3 as its row actions
     doc = read_instance(str(DATA / name))
     compiled = reduce_graph(parse_graph((DATA / "g6.txt").read_text())).instance
     assert isinstance(doc.instance.selector, FunctionalMatrix)
     assert doc.instance.selector.actions == compiled.selector.actions
     assert doc.instance.selector.ncols == doc.instance.d == 19
+    # every version re-dumps as the version 3 that reduce writes
+    assert dumps_instance(doc) == (DATA / "g6_v3.json").read_text()
 
 
 def test_version_1_and_2_documents_agree():
@@ -243,24 +266,25 @@ def test_version_1_and_2_documents_agree():
         instances += [reduce_graph(g, Semiring.GF2).instance,
                       reduce_graph(g, Semiring.RATIONAL).instance]
     for inst in instances:
-        v2 = dumps_instance(InstanceDocument(inst, {"n": 1}))
-        assert '"version": 2' in v2
-        from_v1 = loads_instance(_v1_text(inst, {"n": 1}))
-        from_v2 = loads_instance(v2)
-        assert from_v1.instance == from_v2.instance == inst
-        assert (instance_fingerprint(from_v1.instance) == instance_fingerprint(from_v2.instance)
-                == instance_fingerprint(inst))
-        assert dumps_instance(from_v2) == v2
-        assert dumps_instance(from_v1) == v2
+        v3 = dumps_instance(InstanceDocument(inst, {"n": 1}))
+        assert '"version": 3' in v3
+        loaded = [loads_instance(text) for text in
+                  (_old_text(inst, {"n": 1}, 1), _old_text(inst, {"n": 1}, 2), v3)]
+        for doc in loaded:
+            assert doc.instance == inst
+            assert instance_fingerprint(doc.instance) == instance_fingerprint(inst)
+            # any version re-dumps as version 3
+            assert dumps_instance(doc) == v3
 
 
 def test_compiled_documents_grow_quadratically():
-    g = random_graph(random.Random(100), 100, 0.3)
-    inst = reduce_graph(g).instance
-    text = dumps_instance(InstanceDocument(inst, {}))
-    assert len(text.encode()) < 2_000_000
-    loaded = loads_instance(text).instance
-    assert instance_fingerprint(loaded) == instance_fingerprint(inst)
+    # n=16, p=.75 is the graph size of the cli-pipeline benchmark workload
+    for n, p, most in ((16, 0.75, 4_500), (100, 0.3, 200_000)):
+        inst = reduce_graph(random_graph(random.Random(n), n, p)).instance
+        text = dumps_instance(InstanceDocument(inst, {}))
+        assert len(text.encode()) <= most
+        loaded = loads_instance(text).instance
+        assert instance_fingerprint(loaded) == instance_fingerprint(inst)
 
 
 def test_version_2_transformation_rejections():
@@ -294,9 +318,87 @@ def test_version_2_transformation_rejections():
     # row actions are a version 2 form
     with pytest.raises(DocumentError):
         loads_instance(dumps(dict(good, version=1)))
-    for version in (0, 3, True, "2"):
+    for version in (0, 4, True, "2"):
         with pytest.raises(DocumentError):
             loads_instance(dumps(dict(good, version=version)))
+
+
+def test_version_3_round_trip_in_both_semirings():
+    rng = random.Random(45)
+    for n in (1, 4, 8):
+        g = random_graph(rng, n, 0.5)
+        for semiring in Semiring:
+            inst = reduce_graph(g, semiring).instance
+            text = dumps_instance(InstanceDocument(inst, {"n": n}))
+            data = json.loads(text)
+            assert data["version"] == 3
+            assert data["selector"] == {"actions": list(inst.selector.actions)}
+            loaded = loads_instance(text)
+            assert isinstance(loaded.instance.selector, FunctionalMatrix)
+            assert loaded.instance == inst
+            assert instance_fingerprint(loaded.instance) == instance_fingerprint(inst)
+            assert dumps_instance(loaded) == text
+
+
+def test_version_3_selector_rejections():
+    good = instance_to_dict(InstanceDocument(reduce_graph(path_graph(2)).instance, {}))
+    del good["h"]  # so that a selector of another length is refused for itself
+    d = good["d"]
+    actions = good["selector"]["actions"]
+    assert actions and good["version"] == 3
+
+    def with_selector(selector, **changes):
+        return dumps(dict(good, selector=selector, **changes))
+
+    for fine in ([None], [d - 1, 0, None, d - 1], actions):
+        assert loads_instance(with_selector({"actions": fine})).instance.selector.actions == tuple(fine)
+    bad = [
+        {"actions": [d] + actions[1:]},           # source out of range
+        {"actions": [-1] + actions[1:]},
+        {"actions": [True] + actions[1:]},        # bool
+        {"actions": [0.0] + actions[1:]},         # float
+        {"actions": ["0"] + actions[1:]},
+        {"actions": []},
+        {},                                       # missing actions
+        {"rows": actions},
+        {"actions": actions, "extra": 1},
+        {"actions": actions, "ncols": d},
+        {"actions": "0,1"},                       # not a list
+        {"actions": None},
+    ]
+    for selector in bad:
+        with pytest.raises(DocumentError, match="^selector"):
+            loads_instance(with_selector(selector))
+    # row actions are a version 3 form for the selector
+    inst = reduce_graph(path_graph(2)).instance
+    for version in (1, 2):
+        older = json.loads(_old_text(inst, {}, version))
+        loads_instance(dumps(older))
+        with pytest.raises(DocumentError, match="version 3"):
+            loads_instance(dumps(dict(older, selector={"actions": actions})))
+
+
+def test_bad_dense_entries_are_named_by_place():
+    # new_instance checks each entry once; a refusal names the entry
+    good = json.loads(_old_text(reduce_graph(path_graph(2)).instance, {}, 1))
+    d = good["d"]
+    for key, value, place in [
+        ("v", [0] * (d - 1) + [2], "v"),
+        ("v", [0] * (d - 1) + [1.0], "v"),
+        ("selector", [[0] * d, [0] * (d - 1) + ["x"]], "selector row 1"),
+        ("transformations", [[[0] * d] * (d - 1) + [[0] * (d - 1) + [None]]],
+         f"transformation 0 row {d - 1}"),
+    ]:
+        with pytest.raises(DocumentError, match=f"^{place}: bad entry"):
+            loads_instance(dumps(dict(good, **{key: value})))
+    rational = json.loads((DATA / "q_small.json").read_text())
+    transformations = rational["transformations"]
+    transformations[2][0] = ["1/0", "0", "0"]
+    with pytest.raises(DocumentError, match="^transformation 2 row 0: bad entry '1/0'"):
+        loads_instance(dumps(rational))
+    # a refusal that is not an entry's is named by new_instance
+    with pytest.raises(DocumentError, match="invalid instance"):
+        loads_instance(dumps(dict(good, selector=[[0] * (d + 1)])))
 
 
 def test_deeply_nested_json_is_a_document_error():

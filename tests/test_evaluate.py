@@ -957,7 +957,11 @@ def test_dense_and_action_selectors_agree(semiring):
         for inst in (by_actions, by_rows, held_dense):
             assert inst == by_actions and hash(inst) == hash(by_actions)
             assert instance_fingerprint(inst) == instance_fingerprint(by_actions)
-            assert dumps_instance(InstanceDocument(inst, {})) == text
+            # the dense rows of held_dense, which bypassed new_instance, are
+            # written as dense rows; every document loads to the same instance
+            written = dumps_instance(InstanceDocument(inst, {}))
+            assert written == text or inst is held_dense
+            assert loads_instance(written).instance == by_actions
             assert m_sequence(inst, 3).values == expected
             assert m_sequence(inst, 3, method="brute").values == expected
             assert _generic_counts(inst, 3) == expected
@@ -972,11 +976,20 @@ def test_hashing_writing_and_engines_never_expand_the_selector(monkeypatch, semi
     instances = [reduce_graph(path_graph(4), semiring).instance,
                  loads_instance(dumps_instance(InstanceDocument(
                      reduce_graph(cycle_graph(5)).instance, {}))).instance]
+    # a dense transformation puts the instance on the generic engine
+    generic = new_instance(semiring, (1, 0, 1), (DenseMatrix(((1, 1, 0), (0, 1, 0), (1, 0, 1))),
+                                                 FunctionalMatrix((2, 0, None))),
+                           FunctionalMatrix((0, None, 2), 3))
+    expected = Reference(generic).counts(3)
     monkeypatch.setattr(FunctionalMatrix, "dense", refuse)
-    for inst in instances:
+    for inst in instances + [generic]:
         assert isinstance(inst.selector, FunctionalMatrix)
         instance_fingerprint(inst)
         hash(inst)
         dumps_instance(InstanceDocument(inst, {}))
-        assert isinstance(engine_for(inst), PackedEngine)
-        m_sequence(inst, 2)
+        engine = engine_for(inst)
+        assert isinstance(engine, GenericEngine if inst is generic else PackedEngine)
+        for method in ("dedup", "brute"):
+            counts = m_sequence(inst, 3, method=method).values
+            assert inst is not generic or counts == expected
+        check_sequence(inst, (0, 1))
