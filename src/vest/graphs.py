@@ -133,10 +133,10 @@ def count_dominating_sets(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> in
     closed = [g.adj[u] | 1 << u for u in range(g.n)]
     full = g.full_mask
     count = 0
-    for combo in combinations(range(g.n), k):
+    for combo in combinations(closed, k):
         covered = 0
-        for u in combo:
-            covered |= closed[u]
+        for mask in combo:
+            covered |= mask
         if covered == full:
             count += 1
     return count

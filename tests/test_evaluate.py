@@ -39,8 +39,8 @@ from vest import (
 )
 from vest.documents import (InstanceDocument, dumps_instance, loads_instance,
                             msequence_from_dict, msequence_to_dict)
-from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, check_brute_bound,
-                           engine_for)
+from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, StateDistribution,
+                           check_brute_bound, engine_for)
 
 from helpers import (
     Reference,
@@ -797,26 +797,42 @@ def _accepted_mass_instances():
 
 
 def test_accepted_mass_matches_the_built_next_level():
-    # on both engines, accepted_mass of each level is the annihilated mass
-    # of the level it advances to; the counts made with it match brute force
-    seen = dict.fromkeys(("packed", "left", "right", "none", "parity", "dead"), 0)
+    # on both engines, annihilated_mass of every level is the mass of its
+    # states that annihilates accepts (vest.annihilated_mass is the
+    # instance engine's), and accepted_mass of each level is the annihilated
+    # mass of the level it advances to; the counts made with them match
+    # brute force
+    seen = dict.fromkeys(("packed", "union", "left", "right", "none", "parity", "dead",
+                          "generic dense GF2", "generic dense RATIONAL",
+                          "generic actions GF2", "generic actions RATIONAL"), 0)
     for inst in _accepted_mass_instances():
         actions = [a for form in inst.functional_forms if form
                    for a in enumerate(form.actions)]
         seen["left"] += any(j is not None and i > j for i, j in actions)
         seen["right"] += any(j is not None and i < j for i, j in actions)
         seen["none"] += any(j is None for _, j in actions)
-        seen["parity"] += inst.semiring is Semiring.GF2 and any(
+        parity = inst.semiring is Semiring.GF2 and any(
             sum(row) > 1 for row in inst.selector.rows)
+        seen["parity"] += parity
         engines = (engine_for(inst), GenericEngine(inst))
-        seen["packed"] += isinstance(engines[0], PackedEngine)
+        packed = isinstance(engines[0], PackedEngine)
+        seen["packed"] += packed
+        seen["union"] += packed and not parity
+        form = "actions" if isinstance(inst.selector, FunctionalMatrix) else "dense"
+        seen[f"generic {form} {inst.semiring.name}"] += 1
         k_max = 4
         dists = [{engine.initial(): 1} for engine in engines]
-        for _ in range(k_max):
+        for level in range(k_max + 1):
+            for engine, dist in zip(engines, dists):
+                assert engine.annihilated_mass(dist) == sum(
+                    mult for state, mult in dist.items() if engine.annihilates(state))
+            assert annihilated_mass(inst, StateDistribution(level, dists[0])) == \
+                engines[0].annihilated_mass(dists[0])
+            if level == k_max:
+                break
             for pos, (engine, dist) in enumerate(zip(engines, dists)):
                 nxt = engine.advance(dist)
-                assert engine.accepted_mass(dist) == sum(
-                    mult for state, mult in nxt.items() if engine.annihilates(state))
+                assert engine.accepted_mass(dist) == engine.annihilated_mass(nxt)
                 dists[pos] = nxt
             # the packed level merged dead states into one representative
             seen["dead"] += len(dists[0]) < len(dists[1])
