@@ -20,6 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -175,20 +176,66 @@ class FunctionalMatrix:
     transformation must be; a compiled selector is 2n x (3n+1). Applying
     such a matrix never adds two entries, so a 0/1 vector stays 0/1 and the
     result is the same in both semirings.
+
+    ``moved`` holds the ascending indices of the rows whose action is not
+    their own index: the rows a step changes. A compiled vertex matrix moves
+    deg(u) + 3 of its 3n + 1 rows, so work that walks ``moved`` is
+    proportional to the graph, not to its dimension. Equality, hash and
+    ``repr`` ignore it; it is derived from the actions.
+
+    There are two ways to build one, and both check every moved row's
+    source the same way (``_place_moves``): None, or an int (not a bool or
+    float) in ``[0, ncols)``. The constructor takes every row's action and
+    finds the moved rows in the pass that checks them; ``from_moves`` takes
+    an identity's moved rows alone, checks that they are ints ascending
+    within ``[0, d)``, and does Python work per move only. A row whose
+    action equals its index, such as ``1.0`` in row 1, is fixed and is
+    stored as the int index, so no action other than an int or None is
+    ever stored.
     """
 
-    __slots__ = ("actions", "ncols")
+    __slots__ = ("actions", "ncols", "moved")
 
     def __init__(self, actions: Iterable[Optional[int]], ncols: Optional[int] = None):
         acts = tuple(actions)
-        if not acts:
+        r = len(acts)
+        if not r:
             raise DimensionMismatch("matrix must have at least one row")
-        c = len(acts) if ncols is None else ncols
-        for j in acts:
-            if j is not None and not 0 <= j < c:
-                raise DimensionMismatch(f"copy source {j} outside [0, {c})")
-        self.actions = acts
+        c = r if ncols is None else ncols
+        rows = _identity(r)
+        stored = list(rows)
+        self.moved = _place_moves(stored, zip(rows, acts), c)
+        if r > c:  # such a row has no column of its own to copy: it must move
+            for i in range(c, r):
+                if stored[i] == i:
+                    raise DimensionMismatch(f"copy source {i} outside [0, {c})")
+        self.actions = tuple(stored)
         self.ncols = c
+
+    @classmethod
+    def from_moves(cls, d: int, rows: Sequence[int],
+                   sources: Sequence[Optional[int]]) -> "FunctionalMatrix":
+        """The d x d identity, except that row ``rows[k]`` copies column
+        ``sources[k]`` (a zero row when that is None). *rows* must be ints
+        that ascend within ``[0, d)``; each is checked, and each source as
+        the constructor checks a moved row's."""
+        if d < 1:
+            raise DimensionMismatch("matrix must have at least one row")
+        if len(rows) != len(sources):
+            raise ValueError(f"{len(rows)} rows but {len(sources)} sources")
+        last = -1
+        for i in rows:
+            if type(i) is not int or not last < i < d:
+                if type(i) is not int:
+                    raise TypeError(f"row index {i!r} is not an int")
+                raise DimensionMismatch(f"row {i} after row {last}: rows must ascend "
+                                        f"within [0, {d})")
+            last = i
+        stored = list(_identity(d))
+        moved = _place_moves(stored, zip(rows, sources), d)
+        self = cls.__new__(cls)
+        self.actions, self.ncols, self.moved = tuple(stored), d, moved
+        return self
 
     @property
     def nrows(self) -> int:
@@ -222,6 +269,32 @@ class FunctionalMatrix:
 
     def __repr__(self):
         return f"FunctionalMatrix({self.nrows}x{self.ncols})"
+
+
+@lru_cache(maxsize=64)
+def _identity(r: int) -> tuple:
+    """``tuple(range(r))``, the identity's row actions: every matrix of r
+    rows shares these ints for its fixed rows."""
+    return tuple(range(r))
+
+
+def _place_moves(actions: list, moves: Iterable[tuple], ncols: int) -> tuple:
+    """Write each move (i, j) with j != i into *actions*, a list of row
+    actions, after checking its source: None or an int in ``[0, ncols)``.
+    A bool or float fails the int test (``TypeError``), as in the document
+    loader; an int out of range raises ``DimensionMismatch``. Each caller
+    vouches for its rows i: they ascend within ``[0, len(actions))``.
+    Returns the moved rows."""
+    moved = []
+    for i, j in moves:
+        if j != i:
+            if j is not None and (type(j) is not int or not 0 <= j < ncols):
+                if type(j) is not int:
+                    raise TypeError(f"row action {j!r} is not an int or None")
+                raise DimensionMismatch(f"copy source {j} outside [0, {ncols})")
+            actions[i] = j
+            moved.append(i)
+    return tuple(moved)
 
 
 Matrix = Union[DenseMatrix, FunctionalMatrix]
@@ -311,7 +384,8 @@ class VestInstance:
         """True when every trajectory stays 0/1: 0/1 start vector and every
         transformation functional. The packed engine also needs a 0/1
         selector."""
-        return self.all_functional and all(e == 0 or e == 1 for e in self.v)
+        v = self.v
+        return self.all_functional and v.count(0) + v.count(1) == len(v)
 
 
 def new_instance(

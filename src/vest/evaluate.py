@@ -44,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 from .core import (
     FunctionalMatrix,
@@ -172,19 +172,18 @@ class GenericEngine:
         return mass
 
 
-def _shift_groups(actions: Sequence[Optional[int]]) -> Tuple[int, tuple, tuple]:
+def _shift_groups(t: FunctionalMatrix) -> Tuple[int, tuple, tuple]:
     """Step plan of one functional transformation: the mask of fixed rows
     (shift 0), then the moved rows grouped by ``shift = i - action[i]``, as
     (mask of source bits, shift) pairs, split into left shifts (shift > 0)
     and right shifts (by -shift).
 
-    Fixed rows (``action[i] == i``) are most rows of a compiled vertex
-    matrix. They are found at C level; only the other rows take a Python
-    pass."""
-    rows = range(len(actions))
+    Only ``t.moved`` is walked: deg(u) + 3 rows of a compiled vertex
+    matrix, whose other rows are fixed."""
+    actions = t.actions
     fixed = (1 << len(actions)) - 1
     groups: Dict[int, int] = {}
-    for i in compress(rows, map(operator.ne, actions, rows)):
+    for i in t.moved:
         fixed ^= 1 << i
         j = actions[i]
         if j is not None:
@@ -219,7 +218,9 @@ class PackedEngine:
     transformations and a 0/1 selector.
 
     A state is an int whose bit i is vector entry i. Each transformation's
-    rows are grouped by shift (``_shift_groups``); a step ORs one
+    moved rows (``FunctionalMatrix.moved``) are grouped by shift
+    (``_shift_groups``), so building the plans takes Python work per moved
+    row only, deg(u) + 3 rows of a compiled vertex matrix; a step ORs one
     ``(state & mask) << shift`` per group, or ``>> -shift`` when the shift
     is negative. A compiled vertex matrix has at most three groups. The
     selector test runs directly on the packed state. A row with at most one
@@ -253,7 +254,7 @@ class PackedEngine:
         else:
             union, parity = _selector_masks(instance.semiring, selector.rows)
         self._union_mask, self._parity_masks = union, parity
-        self._plans = tuple(_shift_groups(t.actions) for t in instance.transformations)
+        self._plans = tuple(map(_shift_groups, instance.transformations))
         initial = 0
         for i in compress(range(instance.d), instance.v):
             initial |= 1 << i

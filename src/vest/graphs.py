@@ -59,9 +59,9 @@ class Graph:
             raise MemoryError(f"cannot allocate {n} vertices") from None
         count = 0
         for u, v in edges:
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise VertexOutOfRange(f"vertex {w} outside [0, {n})")
+            if not (0 <= u < n and 0 <= v < n):
+                bad = v if 0 <= u < n else u
+                raise VertexOutOfRange(f"vertex {bad} outside [0, {n})")
             if u == v:
                 warnings.warn(f"ignoring self-loop at vertex {u}", stacklevel=2)
                 continue
@@ -91,13 +91,15 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
-def mask_vertices(mask: int) -> Tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+# bytes.translate table that turns the digits "0" and "1" into the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_bits(mask: int) -> bytes:
+    """One byte per vertex 0, 1, ... up to the highest in *mask* (a
+    nonnegative int): 1 when the vertex is in it, else 0. Made at C level,
+    for ``itertools.compress``."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def is_dominating(g: Graph, vertices: VertexSet) -> bool:
@@ -152,31 +154,31 @@ def parse_edgelist(text: str) -> Graph:
     """
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if n is None:
             if len(parts) != 2:
-                raise GraphSyntaxError(f"expected header 'n m', got {line!r}", lineno)
+                raise GraphSyntaxError(f"expected header 'n m', got {line.strip()!r}", lineno)
             try:
                 n, declared = int(parts[0]), int(parts[1])
             except ValueError:
-                raise GraphSyntaxError(f"non-integer header field in {line!r}", lineno) from None
+                raise GraphSyntaxError(f"non-integer header field in {line.strip()!r}",
+                                       lineno) from None
             if n < 1:
                 raise GraphSyntaxError(f"vertex count must be >= 1, got {n}", lineno)
             if declared < 0:
                 raise GraphSyntaxError(f"edge count must be >= 0, got {declared}", lineno)
             continue
         if len(parts) != 2:
-            raise GraphSyntaxError(f"expected edge 'u v', got {line!r}", lineno)
+            raise GraphSyntaxError(f"expected edge 'u v', got {line.strip()!r}", lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise GraphSyntaxError(f"non-integer endpoint in {line!r}", lineno) from None
+            raise GraphSyntaxError(f"non-integer endpoint in {line.strip()!r}", lineno) from None
         if not 0 <= u < n or not 0 <= v < n:
-            raise GraphSyntaxError(f"endpoint outside [0, {n}) in {line!r}", lineno)
+            raise GraphSyntaxError(f"endpoint outside [0, {n}) in {line.strip()!r}", lineno)
         edges.append((u, v))
     if n is None:
         raise GraphSyntaxError("empty input: no 'n m' header found", 1)

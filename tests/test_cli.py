@@ -49,10 +49,12 @@ def test_reduce_to_stdout_splits_summary_to_stderr(p3_file, capsys):
     assert "dimension 10" in captured.err
 
 
-def test_reduce_reproduces_the_golden_document(capsys):
-    # g6_v3.json pins the written layout; CI diffs the same output against it
-    assert main(["reduce", "-i", str(DATA / "g6.txt")]) == 0
-    assert capsys.readouterr().out == (DATA / "g6_v3.json").read_text()
+@pytest.mark.parametrize("name", ["g6", "g12"])
+def test_reduce_reproduces_the_golden_document(name, capsys):
+    # the golden files pin the written layout; CI diffs the same output
+    # against them. g12 has vertices of degree 1 to 5.
+    assert main(["reduce", "-i", str(DATA / f"{name}.txt")]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}_v3.json").read_text()
 
 
 def test_reduce_accepts_dimacs(tmp_path, capsys):

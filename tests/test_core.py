@@ -19,6 +19,7 @@ from vest import (
     NonSquare,
     Semiring,
     instance_fingerprint,
+    m_sequence,
     new_instance,
     reduce_graph,
     to_functional,
@@ -95,6 +96,94 @@ def test_functional_matrix_validation():
         FunctionalMatrix((0, 3, 1))
     with pytest.raises(DimensionMismatch):
         FunctionalMatrix((0, -1, 1))
+
+
+def _random_actions(rng, r, c):
+    """Row actions of a random r x c matrix: each row moved with
+    probability 1/3 (always when it has no column of its own), else fixed."""
+    actions = []
+    for i in range(r):
+        if i < c and rng.random() < 2 / 3:
+            actions.append(i)
+        else:
+            actions.append(rng.choice([None] + list(range(c))))
+    return actions
+
+
+def test_moved_rows_and_both_construction_routes_agree():
+    rng = random.Random(1601)
+    for _ in range(300):
+        c = rng.randint(1, 30)
+        r = rng.choice((c, rng.randint(1, 30)))
+        actions = _random_actions(rng, r, c)
+        moved = [i for i, j in enumerate(actions) if j != i]
+        f = FunctionalMatrix(actions, c)
+        assert f.moved == tuple(moved)
+        assert f.actions == tuple(actions)
+        if r == c:
+            g = FunctionalMatrix.from_moves(c, moved, [actions[i] for i in moved])
+            assert g.moved == f.moved and g.actions == f.actions
+            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+            # a row given its own index is no move
+            h = FunctionalMatrix.from_moves(c, range(c), actions)
+            assert h == f and h.moved == f.moved
+
+
+def test_equality_hash_and_repr_ignore_moved():
+    f = FunctionalMatrix((1, 0, 2))
+    g = FunctionalMatrix.from_moves(3, (0, 1), (1, 0))
+    assert f.moved == g.moved == (0, 1)
+    assert f == g and hash(f) == hash(g) == hash((3, (1, 0, 2)))
+    assert repr(f) == repr(g) == "FunctionalMatrix(3x3)"
+    assert FunctionalMatrix((0, 1, 2)).moved == ()
+
+
+def test_actions_that_are_not_ints_are_refused_or_stored_as_ints():
+    # a moved row's action must be an int or None: floats and bools are
+    # refused as the document loader refuses them
+    for actions in ((0.5,), (1.0, 0), (True, 0), (0, 2, 1.0), (Fraction(1), 0)):
+        with pytest.raises(TypeError):
+            FunctionalMatrix(actions)
+    # a row whose action equals its own index is fixed, and stored as the int
+    for actions in ((0, 1.0), (0, True), (0.0, None)):
+        f = FunctionalMatrix(actions)
+        assert all(type(j) is int for j in f.actions if j is not None)
+    assert FunctionalMatrix((0, 1.0)).actions == (0, 1)
+    assert FunctionalMatrix((0.0, None)).actions == (0, None)
+    for rows, sources in (((0,), (0.5,)), ((0,), (True,)), ((0.0,), (1,)),
+                          ((True,), (0,)), ((0,), ("1",))):
+        with pytest.raises(TypeError):
+            FunctionalMatrix.from_moves(2, rows, sources)
+
+
+def test_float_actions_never_reach_a_count():
+    sel = FunctionalMatrix((1,), 2)
+    t = FunctionalMatrix((0, 1.0))
+    inst = new_instance(Semiring.GF2, (1, 0), (t,), sel)
+    assert inst.transformations[0].actions == (0, 1)
+    assert m_sequence(inst, 2).values == (1, 1, 1)
+    for bad in ((1.0, 0), (0.5, 0), (True, 0)):
+        with pytest.raises(TypeError):
+            new_instance(Semiring.GF2, (1, 0), (FunctionalMatrix(bad),), sel)
+
+
+def test_from_moves_checks_every_move():
+    assert FunctionalMatrix.from_moves(3, (), ()).actions == (0, 1, 2)
+    assert FunctionalMatrix.from_moves(3, (0, 2), (None, 0)).actions == (None, 1, 0)
+    for d, rows, sources in ((3, (3,), (0,)), (3, (-1,), (0,)), (3, (0,), (3,)),
+                             (3, (0,), (-1,)), (3, (2, 0), (0, 1)), (3, (1, 1), (0, 2)),
+                             (3, (5,), (5,)), (0, (), ())):
+        with pytest.raises(DimensionMismatch):
+            FunctionalMatrix.from_moves(d, rows, sources)
+    with pytest.raises(ValueError):
+        FunctionalMatrix.from_moves(3, (0, 1), (None,))
+
+
+def test_rows_past_the_column_count_must_move():
+    f = FunctionalMatrix((0, 1, None, 0), 2)
+    assert f.moved == (2, 3)
+    with pytest.raises(DimensionMismatch):
+        FunctionalMatrix((0, 1, 2), 2)
 
 
 def test_functional_matrix_with_a_column_count():
@@ -226,6 +315,10 @@ def test_packed_ready_requires_binary_vector():
     sel = DenseMatrix(((1, 1),))
     assert new_instance(Semiring.RATIONAL, (1, 0), (t,), sel).packed_ready
     assert not new_instance(Semiring.RATIONAL, (Fraction(1, 2), 0), (t,), sel).packed_ready
+    assert new_instance(Semiring.GF2, (1, 1), (t,), sel).packed_ready
+    assert not new_instance(Semiring.RATIONAL, (2, 0), (t,), sel).packed_ready
+    assert not new_instance(Semiring.RATIONAL, (1, 0), (DenseMatrix(((1, 1), (0, 1))),),
+                            sel).packed_ready
 
 
 def test_fingerprint_stability_across_representations():

@@ -208,6 +208,36 @@ def test_packed_engine_selected_for_compiled_instances():
     assert isinstance(engine_for(rational), GenericEngine)
 
 
+def _plan_from_every_row(actions):
+    """The step plan of ``_shift_groups``, made by reading every row."""
+    fixed, groups = 0, {}
+    for i, j in enumerate(actions):
+        if j == i:
+            fixed |= 1 << i
+        elif j is not None:
+            groups[i - j] = groups.get(i - j, 0) | 1 << j
+    return (fixed,
+            {(mask, shift) for shift, mask in groups.items() if shift > 0},
+            {(mask, -shift) for shift, mask in groups.items() if shift < 0})
+
+
+def test_shift_groups_walk_moved_rows_only():
+    rng = random.Random(1602)
+    matrices = []
+    for _ in range(200):
+        d = rng.randint(1, 30)
+        actions = [i if rng.random() < 0.7 else rng.choice([None] + list(range(d)))
+                   for i in range(d)]
+        matrices.append(FunctionalMatrix(actions))
+        matrices.append(random_functional_matrix(rng, d))
+    for n in (1, 5, 17, 30):
+        matrices += reduce_graph(random_graph(rng, n, 0.3)).instance.transformations
+    for t in matrices:
+        fixed, lefts, rights = vest.evaluate._shift_groups(t)
+        assert (fixed, set(lefts), set(rights)) == _plan_from_every_row(t.actions)
+        assert len(lefts) == len(set(lefts)) and len(rights) == len(set(rights))
+
+
 def test_packed_engine_rejects_unqualified_instances():
     inst = new_instance(
         Semiring.RATIONAL, (Fraction(1, 2),), (FunctionalMatrix((0,)),),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 import pytest
 
@@ -16,7 +17,7 @@ from vest import (
     is_dominating,
     parse_graph,
 )
-from vest.graphs import mask_vertices, parse_dimacs, parse_edgelist, vertex_mask
+from vest.graphs import mask_bits, parse_dimacs, parse_edgelist, vertex_mask
 
 from helpers import (
     all_labeled_graphs,
@@ -42,6 +43,10 @@ def test_from_edges_rejects_bad_vertices():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(VertexOutOfRange):
         Graph.from_edges(3, [(-1, 0)])
+    # the message names the first endpoint out of range
+    for edge, bad in (((0, 3), 3), ((3, 0), 3), ((-1, 5), -1), ((1, -2), -2)):
+        with pytest.raises(VertexOutOfRange, match=rf"^vertex {bad} outside \[0, 3\)$"):
+            Graph.from_edges(3, [edge])
     with pytest.raises(ValueError):
         Graph.from_edges(0, [])
 
@@ -64,7 +69,9 @@ def test_closed_neighborhood():
 
 def test_mask_helpers_round_trip():
     assert vertex_mask((0, 3), 5) == 0b1001
-    assert mask_vertices(0b1001) == (0, 3)
+    assert mask_bits(0b1001) == bytes((1, 0, 0, 1))
+    assert list(compress(range(5), mask_bits(vertex_mask((0, 3), 5)))) == [0, 3]
+    assert mask_bits(0) == bytes((0,))
     with pytest.raises(VertexOutOfRange):
         vertex_mask((5,), 5)
 
@@ -172,6 +179,28 @@ def test_parse_edgelist_errors_carry_line_numbers():
         parse_edgelist("")
     with pytest.raises(GraphSyntaxError):
         parse_edgelist("3 2\n0 1 2\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("  3 x  \n", "line 1: non-integer header field in '3 x'"),
+    ("\t# c\n 3 \n", "line 2: expected header 'n m', got '3'"),
+    ("3 2\n  0 1 2\t\n", "line 2: expected edge 'u v', got '0 1 2'"),
+    ("3 2\n0 y \n", "line 2: non-integer endpoint in '0 y'"),
+    ("3 2\n 0 7 \n", "line 2: endpoint outside [0, 3) in '0 7'"),
+    ("  # only\n\n", "line 1: empty input: no 'n m' header found"),
+    ("0 1\n", "line 1: vertex count must be >= 1, got 0"),
+    ("3 -1\n", "line 1: edge count must be >= 0, got -1"),
+])
+def test_parse_edgelist_messages_quote_the_stripped_line(text, message):
+    with pytest.raises(GraphSyntaxError) as err:
+        parse_edgelist(text)
+    assert str(err.value) == message
+
+
+def test_parse_edgelist_skips_indented_comments_and_blank_lines():
+    with pytest.warns(UserWarning, match="^ignoring self-loop at vertex 1$"):
+        g = parse_edgelist(" 3 2 \n #x\n 0  1 \n\t\n1 1\n")
+    assert g == Graph.from_edges(3, [(0, 1)])
 
 
 def test_parse_edgelist_header_count_is_advisory():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from vest import (
@@ -28,6 +30,7 @@ from helpers import (
     edgeless_graph,
     nonisomorphic_graphs,
     path_graph,
+    random_graph,
 )
 
 
@@ -102,6 +105,33 @@ def test_dense_and_action_forms_agree():
     layout = coordinate_layout(4)
     for u in range(4):
         assert build_vertex_matrix(g, layout, u) == build_vertex_action(g, layout, u)
+
+
+def _vertex_action_from_every_row(g, layout, u):
+    """``build_vertex_action`` as a full list of actions: the identity, each
+    uncovered flag of N[u] zeroed, then the two chosen slots."""
+    actions = list(range(layout.dimension))
+    for w in range(g.n):
+        if g.closed_mask(u) >> w & 1:
+            actions[layout.uncovered(w)] = None
+    actions[layout.chosen_twice(u)] = layout.chosen_once(u)
+    actions[layout.chosen_once(u)] = layout.constant
+    return FunctionalMatrix(actions)
+
+
+def test_vertex_actions_built_from_moves_match_full_action_lists():
+    rng = random.Random(1603)
+    graphs = [random_graph(rng, rng.randint(1, 30), rng.choice((0.0, 0.2, 0.5, 1.0)))
+              for _ in range(40)]
+    graphs += [complete_graph(30), edgeless_graph(30), path_graph(1)]
+    for g in graphs:
+        layout = coordinate_layout(g.n)
+        for u in range(g.n):
+            t = build_vertex_action(g, layout, u)
+            expected = _vertex_action_from_every_row(g, layout, u)
+            assert t == expected and hash(t) == hash(expected)
+            assert t.actions == expected.actions and t.moved == expected.moved
+            assert len(t.moved) == bin(g.closed_mask(u)).count("1") + 2
 
 
 def test_compiled_instances_are_fully_functional():
