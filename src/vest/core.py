@@ -17,10 +17,10 @@ across workers.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
@@ -183,15 +183,14 @@ class FunctionalMatrix:
     proportional to the graph, not to its dimension. Equality, hash and
     ``repr`` ignore it; it is derived from the actions.
 
-    There are two ways to build one, and both check every moved row's
-    source the same way (``_place_moves``): None, or an int (not a bool or
-    float) in ``[0, ncols)``. The constructor takes every row's action and
-    finds the moved rows in the pass that checks them; ``from_moves`` takes
-    an identity's moved rows alone, checks that they are ints ascending
-    within ``[0, d)``, and does Python work per move only. A row whose
-    action equals its index, such as ``1.0`` in row 1, is fixed and is
-    stored as the int index, so no action other than an int or None is
-    ever stored.
+    Every action must be None or an int in ``[0, ncols)``, whichever row
+    it sits in: an int-like such as a numpy integer is stored as its int; a
+    bool or float raises ``TypeError``, as the document loader refuses
+    them; an int out of range raises ``DimensionMismatch``. The
+    constructor finds the moved rows in the one pass it makes over the
+    actions, and type- and range-checks those alone: a row that holds its
+    own index as the very int object is fixed and costs one identity test.
+    A row at or past ``ncols`` has no column of its own: it must move.
     """
 
     __slots__ = ("actions", "ncols", "moved")
@@ -202,40 +201,31 @@ class FunctionalMatrix:
         if not r:
             raise DimensionMismatch("matrix must have at least one row")
         c = r if ncols is None else ncols
-        rows = _identity(r)
-        stored = list(rows)
-        self.moved = _place_moves(stored, zip(rows, acts), c)
-        if r > c:  # such a row has no column of its own to copy: it must move
+        stored = acts
+        moved = []
+        for i, j in enumerate(acts):
+            # CPython shares the ints of small row indices, so most fixed
+            # rows pass the identity test; any other row is tested by type
+            # and value, so no row's result depends on that sharing
+            if j is not i:
+                if j is not None:
+                    if type(j) is not int:
+                        j = _int_action(j)
+                        if stored is acts:
+                            stored = list(acts)
+                        stored[i] = j
+                    if j == i:
+                        continue
+                    if not 0 <= j < c:
+                        raise DimensionMismatch(f"copy source {j} outside [0, {c})")
+                moved.append(i)
+        if r > c:
             for i in range(c, r):
                 if stored[i] == i:
                     raise DimensionMismatch(f"copy source {i} outside [0, {c})")
         self.actions = tuple(stored)
         self.ncols = c
-
-    @classmethod
-    def from_moves(cls, d: int, rows: Sequence[int],
-                   sources: Sequence[Optional[int]]) -> "FunctionalMatrix":
-        """The d x d identity, except that row ``rows[k]`` copies column
-        ``sources[k]`` (a zero row when that is None). *rows* must be ints
-        that ascend within ``[0, d)``; each is checked, and each source as
-        the constructor checks a moved row's."""
-        if d < 1:
-            raise DimensionMismatch("matrix must have at least one row")
-        if len(rows) != len(sources):
-            raise ValueError(f"{len(rows)} rows but {len(sources)} sources")
-        last = -1
-        for i in rows:
-            if type(i) is not int or not last < i < d:
-                if type(i) is not int:
-                    raise TypeError(f"row index {i!r} is not an int")
-                raise DimensionMismatch(f"row {i} after row {last}: rows must ascend "
-                                        f"within [0, {d})")
-            last = i
-        stored = list(_identity(d))
-        moved = _place_moves(stored, zip(rows, sources), d)
-        self = cls.__new__(cls)
-        self.actions, self.ncols, self.moved = tuple(stored), d, moved
-        return self
+        self.moved = tuple(moved)
 
     @property
     def nrows(self) -> int:
@@ -271,30 +261,16 @@ class FunctionalMatrix:
         return f"FunctionalMatrix({self.nrows}x{self.ncols})"
 
 
-@lru_cache(maxsize=64)
-def _identity(r: int) -> tuple:
-    """``tuple(range(r))``, the identity's row actions: every matrix of r
-    rows shares these ints for its fixed rows."""
-    return tuple(range(r))
-
-
-def _place_moves(actions: list, moves: Iterable[tuple], ncols: int) -> tuple:
-    """Write each move (i, j) with j != i into *actions*, a list of row
-    actions, after checking its source: None or an int in ``[0, ncols)``.
-    A bool or float fails the int test (``TypeError``), as in the document
-    loader; an int out of range raises ``DimensionMismatch``. Each caller
-    vouches for its rows i: they ascend within ``[0, len(actions))``.
-    Returns the moved rows."""
-    moved = []
-    for i, j in moves:
-        if j != i:
-            if j is not None and (type(j) is not int or not 0 <= j < ncols):
-                if type(j) is not int:
-                    raise TypeError(f"row action {j!r} is not an int or None")
-                raise DimensionMismatch(f"copy source {j} outside [0, {ncols})")
-            actions[i] = j
-            moved.append(i)
-    return tuple(moved)
+def _int_action(j) -> int:
+    """Row action *j*, not of type int, as an int: an int-like is taken by
+    ``operator.index``; a bool, float or anything else raises
+    ``TypeError``."""
+    if isinstance(j, bool):
+        raise TypeError(f"row action {j!r} is not an int or None")
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise TypeError(f"row action {j!r} is not an int or None") from None
 
 
 Matrix = Union[DenseMatrix, FunctionalMatrix]

@@ -91,15 +91,13 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
     return mask
 
 
-# bytes.translate table that turns the digits "0" and "1" into the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def mask_bits(mask: int) -> bytes:
-    """One byte per vertex 0, 1, ... up to the highest in *mask* (a
-    nonnegative int): 1 when the vertex is in it, else 0. Made at C level,
-    for ``itertools.compress``."""
-    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+def mask_vertices(mask: int) -> Tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def is_dominating(g: Graph, vertices: VertexSet) -> bool:

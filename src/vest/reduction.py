@@ -19,10 +19,9 @@ All matrices built here are functional (0/1 with at most one 1 per row), so
 reduced instances always qualify for the packed evaluation path. They are
 built and kept as row actions, the 2n x (3n + 1) selector included, so no
 compiled matrix is ever held as dense rows. A vertex matrix moves only
-deg(u) + 3 of its 3n + 1 rows, and it is built from those moves alone
-(``FunctionalMatrix.from_moves``), each checked: the Python work of
-compiling a graph is proportional to n + |E|, with O(n) C-level work per
-vertex for the identity rows.
+deg(u) + 3 of its 3n + 1 rows; its constructor finds those and checks
+them alone, and the engine's step plans walk them alone
+(``FunctionalMatrix.moved``).
 ``run_verification`` checks that identity on a given graph.
 """
 
@@ -30,12 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import compress
 from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
 from .evaluate import BRUTE, DEDUP, check_brute_bound, m_counts
-from .graphs import Graph, count_dominating_sets, mask_bits
+from .graphs import Graph, count_dominating_sets, mask_vertices
 
 
 class EmptyGraph(VestError):
@@ -56,11 +54,6 @@ class CoordinateLayout:
     def constant(self) -> int:
         """Index of the always-1 coordinate."""
         return 3 * self.n
-
-    @property
-    def uncovered_flags(self) -> range:
-        """Every vertex's uncovered flag, in vertex order."""
-        return range(0, 3 * self.n, 3)
 
     def uncovered(self, u: int) -> int:
         """Flag that is 1 until some vertex of N[u] is chosen."""
@@ -91,19 +84,13 @@ def build_initial_vector(layout: CoordinateLayout) -> tuple:
 
 
 def build_vertex_action(g: Graph, layout: CoordinateLayout, u: int) -> FunctionalMatrix:
-    """Row-action form of the transformation for choosing vertex u, built
-    from its moves alone (``FunctionalMatrix.from_moves``): the uncovered
-    flag of each vertex of N[u] becomes a zero row, chosen-twice copies
-    chosen-once, and chosen-once copies the constant. The flags are picked
-    from the bits of N[u] at C level; u's two chosen slots follow its own
-    flag in the layout, so they go in right after it and the rows ascend."""
-    once = layout.chosen_once(u)
-    rows = list(compress(layout.uncovered_flags, mask_bits(g.closed_mask(u))))
-    sources = [None] * len(rows)
-    at = rows.index(layout.uncovered(u)) + 1
-    rows[at:at] = layout.chosen_twice(u), once
-    sources[at:at] = once, layout.constant
-    return FunctionalMatrix.from_moves(layout.dimension, rows, sources)
+    """Row-action form of the transformation for choosing vertex u."""
+    actions = list(range(layout.dimension))
+    for w in mask_vertices(g.closed_mask(u)):
+        actions[layout.uncovered(w)] = None
+    actions[layout.chosen_twice(u)] = layout.chosen_once(u)
+    actions[layout.chosen_once(u)] = layout.constant
+    return FunctionalMatrix(actions)
 
 
 def build_vertex_matrix(g: Graph, layout: CoordinateLayout, u: int) -> DenseMatrix:

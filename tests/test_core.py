@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import random
+from enum import IntEnum
 from fractions import Fraction
 from itertools import chain
 
@@ -110,66 +111,67 @@ def _random_actions(rng, r, c):
     return actions
 
 
-def test_moved_rows_and_both_construction_routes_agree():
+def test_moved_rows_match_a_scan_of_every_row():
     rng = random.Random(1601)
     for _ in range(300):
         c = rng.randint(1, 30)
         r = rng.choice((c, rng.randint(1, 30)))
         actions = _random_actions(rng, r, c)
-        moved = [i for i, j in enumerate(actions) if j != i]
         f = FunctionalMatrix(actions, c)
-        assert f.moved == tuple(moved)
+        assert f.moved == tuple(i for i, j in enumerate(actions) if j != i)
         assert f.actions == tuple(actions)
-        if r == c:
-            g = FunctionalMatrix.from_moves(c, moved, [actions[i] for i in moved])
-            assert g.moved == f.moved and g.actions == f.actions
-            assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
-            # a row given its own index is no move
-            h = FunctionalMatrix.from_moves(c, range(c), actions)
-            assert h == f and h.moved == f.moved
+        # moved is derived: equality, hash and repr ignore it
+        g = FunctionalMatrix(iter(actions), c)
+        assert g == f and hash(g) == hash((c, tuple(actions))) and repr(g) == repr(f)
     assert FunctionalMatrix((0, 1, 2)).moved == ()
-    assert hash(FunctionalMatrix.from_moves(3, (0, 1), (1, 0))) == hash((3, (1, 0, 2)))
 
 
-def test_actions_that_are_not_ints_are_refused_or_stored_as_ints():
-    # a moved row's action must be an int or None: floats and bools are
-    # refused as the document loader refuses them
-    for actions in ((0.5,), (1.0, 0), (True, 0), (0, 2, 1.0), (Fraction(1), 0)):
-        with pytest.raises(TypeError):
+def test_actions_that_are_not_ints_are_refused_on_every_row():
+    # floats and bools are refused as the document loader refuses them,
+    # whether the row moves or holds its own index
+    big = list(range(300))
+    for actions in ((0.5,), (1.0, 0), (True, 0), (0, 2, 1.0), (Fraction(1), 0), ("1", 0),
+                    (0, 1.0), (0, True), (0.0, None), (False,), big[:299] + [299.0]):
+        with pytest.raises(TypeError, match="is not an int or None"):
             FunctionalMatrix(actions)
-    # a row whose action equals its own index is fixed, and stored as the int
-    for actions in ((0, 1.0), (0, True), (0.0, None)):
+    with pytest.raises(TypeError):
+        FunctionalMatrix((1, 0, 0.0), 2)
+
+
+class Row(IntEnum):
+    """Int-like row actions."""
+    A = 0
+    B = 1
+    C = 2
+
+
+def test_int_like_actions_are_stored_as_ints_on_every_row():
+    for actions, stored, moved in (((Row.B, Row.A, Row.C), (1, 0, 2), (0, 1)),
+                                   ((Row.A, Row.B, Row.A), (0, 1, 0), (2,)),
+                                   ((None, Row.C, Row.C), (None, 2, 2), (0, 1))):
         f = FunctionalMatrix(actions)
+        assert (f.actions, f.moved) == (stored, moved)
         assert all(type(j) is int for j in f.actions if j is not None)
-    assert FunctionalMatrix((0, 1.0)).actions == (0, 1)
-    assert FunctionalMatrix((0.0, None)).actions == (0, None)
-    for rows, sources in (((0,), (0.5,)), ((0,), (True,)), ((0.0,), (1,)),
-                          ((True,), (0,)), ((0,), ("1",))):
-        with pytest.raises(TypeError):
-            FunctionalMatrix.from_moves(2, rows, sources)
+    with pytest.raises(DimensionMismatch):
+        FunctionalMatrix((Row.C, Row.A))
+    # ints equal to their row index but made apart from it are fixed rows too
+    fresh = [int(str(i)) for i in range(600)]
+    assert FunctionalMatrix(fresh).moved == ()
+    fresh[599], fresh[300] = int("300"), None
+    assert FunctionalMatrix(fresh).moved == (300, 599)
 
 
-def test_float_actions_never_reach_a_count():
+def test_only_int_actions_reach_a_count():
     sel = FunctionalMatrix((1,), 2)
-    t = FunctionalMatrix((0, 1.0))
-    inst = new_instance(Semiring.GF2, (1, 0), (t,), sel)
-    assert inst.transformations[0].actions == (0, 1)
-    assert m_sequence(inst, 2).values == (1, 1, 1)
-    for bad in ((1.0, 0), (0.5, 0), (True, 0)):
+    counts = set()
+    for t in (FunctionalMatrix((Row.A, Row.A)), FunctionalMatrix((0, 0))):
+        inst = new_instance(Semiring.GF2, (1, 0), (t,), sel)
+        assert inst.transformations[0].actions == (0, 0)
+        counts.add(m_sequence(inst, 2).values)
+    assert counts == {(1, 0, 0)}
+    for bad in ((0, 1.0), (1.0, 0), (0.5, 0), (True, 0)):
         with pytest.raises(TypeError):
             new_instance(Semiring.GF2, (1, 0), (FunctionalMatrix(bad),), sel)
-
-
-def test_from_moves_checks_every_move():
-    assert FunctionalMatrix.from_moves(3, (), ()).actions == (0, 1, 2)
-    assert FunctionalMatrix.from_moves(3, (0, 2), (None, 0)).actions == (None, 1, 0)
-    for d, rows, sources in ((3, (3,), (0,)), (3, (-1,), (0,)), (3, (0,), (3,)),
-                             (3, (0,), (-1,)), (3, (2, 0), (0, 1)), (3, (1, 1), (0, 2)),
-                             (3, (5,), (5,)), (0, (), ())):
-        with pytest.raises(DimensionMismatch):
-            FunctionalMatrix.from_moves(d, rows, sources)
-    with pytest.raises(ValueError):
-        FunctionalMatrix.from_moves(3, (0, 1), (None,))
 
 
 def test_functional_matrix_with_a_column_count():

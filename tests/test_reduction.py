@@ -108,8 +108,9 @@ def test_dense_and_action_forms_agree():
 
 
 def _vertex_action_from_every_row(g, layout, u):
-    """``build_vertex_action`` as a full list of actions: the identity, each
-    uncovered flag of N[u] zeroed, then the two chosen slots."""
+    """``build_vertex_action`` made by testing every vertex's bit of N[u]:
+    the identity, each uncovered flag of N[u] zeroed, then the two chosen
+    slots."""
     actions = list(range(layout.dimension))
     for w in range(g.n):
         if g.closed_mask(u) >> w & 1:
@@ -119,7 +120,7 @@ def _vertex_action_from_every_row(g, layout, u):
     return FunctionalMatrix(actions)
 
 
-def test_vertex_actions_built_from_moves_match_full_action_lists():
+def test_vertex_actions_move_their_closed_neighbourhood_and_chosen_slots():
     rng = random.Random(1603)
     graphs = [random_graph(rng, rng.randint(1, 30), rng.choice((0.0, 0.2, 0.5, 1.0)))
               for _ in range(40)]
