@@ -358,8 +358,8 @@ class VestInstance:
     @property
     def packed_ready(self) -> bool:
         """True when every trajectory stays 0/1: 0/1 start vector and every
-        transformation functional. The packed engine also needs a 0/1
-        selector."""
+        transformation functional. The packed engine also needs a selector
+        held as row actions."""
         v = self.v
         return self.all_functional and v.count(0) + v.count(1) == len(v)
 

@@ -54,7 +54,6 @@ MSEQUENCE_FORMAT = "vest-msequence"
 INSTANCE_VERSION = 3
 INSTANCE_VERSIONS = (1, 2, 3)
 FORMAT_VERSION = 1
-_ACTION_TYPES = frozenset((int, type(None)))
 
 
 class DocumentError(VestError):
@@ -116,12 +115,9 @@ def _actions_matrix(raw: dict, nrows: Optional[int], d: int, where: str) -> Func
     actions = _require(raw, "actions", list, where)
     if nrows is not None and len(actions) != nrows:
         raise DocumentError(f"{where}: {len(actions)} actions, expected {nrows}")
-    if not set(map(type, actions)) <= _ACTION_TYPES:
-        bad = next(a for a in actions if type(a) not in _ACTION_TYPES)
-        raise DocumentError(f"{where}: action {bad!r} must be an int or null")
     try:
         return FunctionalMatrix(actions, d)
-    except VestError as exc:
+    except (TypeError, VestError) as exc:
         raise DocumentError(f"{where}: {exc}") from None
 
 

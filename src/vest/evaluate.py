@@ -17,25 +17,28 @@ Three evaluation modes share one state-walking core:
   ``accepted_mass``, so the last level, most of the states on a compiled
   instance, is never stored, and the dedup state cap covers only the
   levels built. These per-state kernels are plain nested loops: on
-  CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x faster so
-  than written with ``sum``, ``any`` or ``map`` over bound methods.
+  CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x faster as
+  loops than written with ``sum``, ``any`` or ``map`` over bound methods.
 
-Instances with a 0/1 start vector, functional transformations and a 0/1
-selector keep every reachable vector 0/1. Those run on a packed engine
-that stores each vector as an int bitmask. Row i of a functional
-transformation copies bit ``action[i]`` to bit i, so rows that share the
-shift ``i - action[i]`` move together: a step is one masked shift per
-shift group. Its ``advance`` also absorbs dead states, those that no
-extension can make accepted because a selected bit can never clear (in a
-compiled instance: a vertex chosen twice); they merge into one dead
-representative. Its ``accepted_mass`` tests each state against the
-selector masks pulled back through each transformation (preimage masks),
-one AND per successor. Every other instance runs on a generic engine over
-tuples of ints, scaled once from its rationals. Both engines produce identical
-counts; the packed one is just faster. ``engine_for`` builds an instance's
-engine once and keeps it on the instance, so every evaluation of that
-instance shares it. ``check_sequence`` and ``m_k_bruteforce`` absorb
-nothing, so brute force checks the absorption of dedup.
+Instances with a 0/1 start vector and every matrix held as row actions
+(``FunctionalMatrix``), the selector included, keep every reachable vector
+0/1. Those run on a packed engine that stores each vector as an int
+bitmask. Row i of a functional transformation copies bit ``action[i]`` to
+bit i, so rows that share the shift ``i - action[i]`` move together: a
+step is one masked shift per shift group. A selector row that copies bit j
+is nonzero exactly when bit j is set, so the selector is one union mask.
+Its ``advance`` also absorbs dead states, those that no extension can make
+accepted because a selected bit can never clear (in a compiled instance: a
+vertex chosen twice); they merge into one dead representative. Its
+``accepted_mass`` tests each state against the union mask pulled back
+through each transformation (one preimage mask per transformation), one
+AND per successor. Every other instance, a dense selector included, runs
+on a generic engine over tuples of ints, scaled once from its rationals.
+Both engines produce identical counts; the packed one is just faster.
+``engine_for`` builds an instance's engine once and keeps it on the
+instance, so every evaluation of that instance shares it.
+``check_sequence`` and ``m_k_bruteforce`` absorb nothing, so brute force
+checks the absorption of dedup.
 """
 
 from __future__ import annotations
@@ -193,29 +196,9 @@ def _shift_groups(t: FunctionalMatrix) -> Tuple[int, tuple, tuple]:
     return fixed, lefts, rights
 
 
-def _selector_masks(semiring: Semiring, rows: Sequence[tuple]) -> Tuple[int, Tuple[int, ...]]:
-    """(union mask, parity masks) of dense 0/1 selector rows; see
-    ``PackedEngine``. An entry outside {0, 1} raises ``ValueError``."""
-    one, zero = semiring.one, semiring.zero
-    union, parity = 0, []
-    for row in rows:
-        ones = row.count(one)
-        if ones + row.count(zero) != len(row):
-            raise ValueError("selector has an entry outside {0, 1}")
-        mask, j = 0, -1
-        for _ in range(ones):
-            j = row.index(one, j + 1)
-            mask |= 1 << j
-        if ones > 1 and semiring is Semiring.GF2:
-            parity.append(mask)
-        else:
-            union |= mask
-    return union, tuple(parity)
-
-
 class PackedEngine:
-    """Bitmask state walker for a 0/1 start vector, functional
-    transformations and a 0/1 selector.
+    """Bitmask state walker for a 0/1 start vector with every transformation
+    and the selector held as row actions (``FunctionalMatrix``).
 
     A state is an int whose bit i is vector entry i. Each transformation's
     moved rows (``FunctionalMatrix.moved``) are grouped by shift
@@ -223,14 +206,12 @@ class PackedEngine:
     row only, deg(u) + 3 rows of a compiled vertex matrix; a step ORs one
     ``(state & mask) << shift`` per group, or ``>> -shift`` when the shift
     is negative. A compiled vertex matrix has at most three groups. The
-    selector test runs directly on the packed state. A row with at most one
-    1, or any row over the rationals, sums to nonzero exactly when one of
-    its selected bits is set, so all such rows share one union mask. A GF(2)
-    row with two or more 1s needs even parity of its selected bits. A
-    selector held as row actions (``FunctionalMatrix``) is all union rows,
-    so its mask is the OR of ``1 << j`` over its actions and no row is
-    scanned. Any other instance raises ``ValueError``; ``engine_for`` gives
-    it a ``GenericEngine``.
+    selector test runs directly on the packed state: a selector row that
+    copies entry j is nonzero exactly when bit j is set, so the selector is
+    one union mask, the OR of ``1 << j`` over its actions, and a state is
+    annihilated when it meets none of it. Any other instance, a dense
+    selector included, raises ``ValueError``; ``engine_for`` gives it a
+    ``GenericEngine``.
 
     A union-mask bit whose closure under every action holds no ``None``
     (``_closures``) can never clear once that whole closure is set, so
@@ -239,21 +220,18 @@ class PackedEngine:
     so building an engine and checking sequences never pay for them.
     """
 
-    __slots__ = ("_plans", "_initial", "_union_mask", "_parity_masks", "_actions",
-                 "_absorbing", "_preimages")
+    __slots__ = ("_plans", "_initial", "_union_mask", "_actions", "_absorbing",
+                 "_preimages")
 
     def __init__(self, instance: VestInstance):
-        if not instance.packed_ready:
-            raise ValueError("instance does not qualify for the packed path")
         selector = instance.selector
-        if isinstance(selector, FunctionalMatrix):
-            union, parity = 0, ()
-            for j in selector.actions:
-                if j is not None:
-                    union |= 1 << j
-        else:
-            union, parity = _selector_masks(instance.semiring, selector.rows)
-        self._union_mask, self._parity_masks = union, parity
+        if not (instance.packed_ready and isinstance(selector, FunctionalMatrix)):
+            raise ValueError("instance does not qualify for the packed path")
+        union = 0
+        for j in selector.actions:
+            if j is not None:
+                union |= 1 << j
+        self._union_mask = union
         self._plans = tuple(map(_shift_groups, instance.transformations))
         initial = 0
         for i in compress(range(instance.d), instance.v):
@@ -278,23 +256,12 @@ class PackedEngine:
         return out
 
     def annihilates(self, state: int) -> bool:
-        if self._union_mask & state:
-            return False
-        for mask in self._parity_masks:
-            if (mask & state).bit_count() & 1:
-                return False
-        return True
+        return not self._union_mask & state
 
     def annihilated_mass(self, dist: Dict) -> int:
         """Total multiplicity of the states of *dist* (state ->
         multiplicity) that the selector kills."""
         mass = 0
-        if self._parity_masks:
-            annihilates = self.annihilates
-            for state, mult in dist.items():
-                if annihilates(state):
-                    mass += mult
-            return mass
         union = self._union_mask
         for state, mult in dist.items():
             if not state & union:
@@ -302,7 +269,7 @@ class PackedEngine:
         return mass
 
     def _closures(self) -> Tuple[int, Dict[int, int], int]:
-        """Absorbing closures of the union-mode selector bits, as (sticky,
+        """Absorbing closures of the selector's union-mask bits, as (sticky,
         closures, dead).
 
         The closure C(i) of bit i is the smallest set of bits that holds i
@@ -395,29 +362,23 @@ class PackedEngine:
             nxt[dead] = dead_mass
         return nxt
 
-    def _pull_back(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
-        """The selector masks pulled back through each transformation t, as
-        (unions, parities): ``step(t, state)`` meets the union mask exactly
-        when ``state & unions[t]`` is nonzero, and meets parity mask q in as
-        many bits mod 2 as ``state`` meets ``parities[t][q]``.
+    def _pull_back(self) -> Tuple[int, ...]:
+        """The union mask pulled back through each transformation t:
+        ``step(t, state)`` meets the union mask exactly when ``state &
+        preimages[t]`` is nonzero.
 
-        Each shift group moves its source bits injectively, so a mask pulls
-        back through a group by the opposite shift. Two groups may copy one
-        source bit into two rows: the union preimage ORs the groups, but a
-        parity preimage XORs them, since two copies of a bit cancel mod 2."""
-        def pull(mask, plan, join):
-            fixed, lefts, rights = plan
-            out = mask & fixed
+        Each shift group moves its source bits injectively, so the mask
+        pulls back through a group by the opposite shift; the preimage ORs
+        the fixed rows and every group."""
+        union, preimages = self._union_mask, []
+        for fixed, lefts, rights in self._plans:
+            out = union & fixed
             for source, shift in lefts:
-                out = join(out, (mask >> shift) & source)
+                out |= (union >> shift) & source
             for source, shift in rights:
-                out = join(out, (mask << shift) & source)
-            return out
-        plans = self._plans
-        unions = tuple(pull(self._union_mask, plan, operator.or_) for plan in plans)
-        parities = tuple(tuple(pull(q, plan, operator.xor) for q in self._parity_masks)
-                         for plan in plans)
-        return unions, parities
+                out |= (union << shift) & source
+            preimages.append(out)
+        return tuple(preimages)
 
     def accepted_mass(self, dist: Dict) -> int:
         """Total multiplicity of the accepted one-step successors of *dist*
@@ -427,22 +388,11 @@ class PackedEngine:
         through every step, so no successor of it is accepted."""
         if self._preimages is None:
             self._preimages = self._pull_back()
-        unions, parities = self._preimages
+        preimages = self._preimages
         mass = 0
-        if not self._parity_masks:
-            for state, mult in dist.items():
-                for union in unions:
-                    if not state & union:
-                        mass += mult
-            return mass
         for state, mult in dist.items():
-            for union, qs in zip(unions, parities):
-                if state & union:
-                    continue
-                for q in qs:
-                    if (state & q).bit_count() & 1:
-                        break
-                else:
+            for union in preimages:
+                if not state & union:
                     mass += mult
         return mass
 
@@ -455,7 +405,7 @@ def engine_for(instance: VestInstance):
     if engine is None:
         try:
             engine = PackedEngine(instance)
-        except ValueError:  # not 0/1 throughout
+        except ValueError:  # not 0/1 row actions throughout
             engine = GenericEngine(instance)
         object.__setattr__(instance, "_engine", engine)
     return engine
@@ -652,15 +602,16 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
     per-level state cap therefore covers levels 0..k_max - 1 only. "brute"
     yields ``m_k_bruteforce`` for each length. A negative *k_max* or an
     unknown method is refused here, at call time, before any count is
-    made; so is, for "dedup", a *k_max* above the dedup cap. "brute"
-    refuses each length lazily, when its count is asked for; callers that
-    consume every length test *k_max* first with ``check_brute_bound``."""
+    made; so is a *k_max* above the dedup cap for "dedup", and one whose
+    brute force passes the brute-force cap (``check_brute_bound``) for
+    "brute"."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == DEDUP:
         _check_dedup_length(k_max)
         return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
     if method == BRUTE:
+        check_brute_bound(instance, k_max)
         return (m_k_bruteforce(instance, k) for k in range(k_max + 1))
     raise ValueError(f"unknown method {method!r}")
 
@@ -678,7 +629,4 @@ def m_sequence(instance: VestInstance, k_max: int, method: str = DEDUP) -> MSequ
 
     The result keeps *instance*; its digest is computed only when
     ``instance_fingerprint`` is read."""
-    counts = m_counts(instance, k_max, method)
-    if method == BRUTE:
-        check_brute_bound(instance, k_max)
-    return MSequenceResult(instance, method, tuple(counts))
+    return MSequenceResult(instance, method, tuple(m_counts(instance, k_max, method)))

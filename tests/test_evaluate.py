@@ -250,6 +250,14 @@ def test_packed_engine_rejects_unqualified_instances():
     with pytest.raises(ValueError):
         PackedEngine(inst)
     assert isinstance(engine_for(inst), GenericEngine)
+    # 0/1 trajectories and a 0/1 selector, but a row with two 1s keeps it
+    # dense
+    inst = new_instance(
+        Semiring.GF2, (1, 0), (FunctionalMatrix((1, 0)),), DenseMatrix(((1, 1),)))
+    assert inst.packed_ready and isinstance(inst.selector, DenseMatrix)
+    with pytest.raises(ValueError):
+        PackedEngine(inst)
+    assert isinstance(engine_for(inst), GenericEngine)
 
 
 def test_packed_encode_decode_round_trip():
@@ -276,7 +284,11 @@ def test_engines_agree_step_by_step():
 
 
 def test_engines_agree_on_gf2_parity_selectors():
+    # the packed engine takes a selector held as row actions only: new_instance
+    # holds it so when no row has two or more 1s; any other selector stays
+    # dense, and its parities are counted by the generic engine
     rng = random.Random(17)
+    seen = {PackedEngine: 0, GenericEngine: 0}
     for _ in range(30):
         d = rng.randint(1, 5)
         v = tuple(rng.randint(0, 1) for _ in range(d))
@@ -285,12 +297,20 @@ def test_engines_agree_on_gf2_parity_selectors():
         sel = DenseMatrix(tuple(tuple(rng.randint(0, 1) for _ in range(d))
                                 for _ in range(rng.randint(1, 3))))
         inst = new_instance(Semiring.GF2, v, ts, sel)
-        packed, generic = PackedEngine(inst), GenericEngine(inst)
+        as_actions = isinstance(inst.selector, FunctionalMatrix)
+        assert as_actions == all(sum(row) <= 1 for row in sel.rows)
+        engine = engine_for(inst)
+        assert isinstance(engine, PackedEngine) == as_actions
+        assert isinstance(engine, GenericEngine) != as_actions
+        seen[type(engine)] += 1
+        ref = Reference(inst)
         for seq in product(range(inst.m), repeat=3):
-            ps, gs = packed.initial(), generic.initial()
+            state = engine.initial()
             for t in seq:
-                ps, gs = packed.step(t, ps), generic.step(t, gs)
-            assert packed.annihilates(ps) == generic.annihilates(gs)
+                state = engine.step(t, state)
+            assert engine.annihilates(state) == ref.accepts(seq)
+        assert m_sequence(inst, 3).values == ref.counts(3)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_packed_generic_selector_fallback():
@@ -358,11 +378,11 @@ def random_packed_instance(rng, d, semiring, selector_kind):
 
 @pytest.mark.parametrize("semiring, selector_kind, mode", [
     (Semiring.GF2, "single", "union"),
-    (Semiring.GF2, "multi", "parity"),
     (Semiring.RATIONAL, "single", "union"),
-    (Semiring.RATIONAL, "multi", "union"),
-    # GF(2) has no entries outside {0, 1}; such a selector leaves the
-    # packed engine
+    # a row with two or more 1s keeps the selector dense, and a dense
+    # selector leaves the packed engine; GF(2) has no entries outside {0, 1}
+    (Semiring.GF2, "multi", "generic"),
+    (Semiring.RATIONAL, "multi", "generic"),
     (Semiring.RATIONAL, "generic", "generic"),
 ])
 def test_packed_generic_and_brute_agree_on_random_functional_instances(
@@ -638,16 +658,18 @@ def test_m_counts_equal_m_sequence(method):
         assert tuple(m_counts(inst, 3, method)) == m_sequence(inst, 3, method).values
 
 
-def test_m_counts_is_lazy():
-    # 20000**2 sequences exceed the brute-force cap; only the third next()
-    # asks for them
+def test_m_counts_refuses_brute_force_past_the_cap_at_call_time():
+    # 20000**2 sequences exceed the brute-force cap: a brute-force k_max of 2
+    # or more is refused before any count is made
     inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * 20000,
                         DenseMatrix(((0,),)))
-    counts = m_counts(inst, 5, "brute")
-    assert next(counts) == 1
-    assert next(counts) == 20000
+    for k_max in (2, 5, 10**21):
+        with pytest.raises(ResourceBound):
+            m_counts(inst, k_max, "brute")
+    assert tuple(m_counts(inst, 1, "brute")) == (1, 20000)
+    one = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),), DenseMatrix(((0,),)))
     with pytest.raises(ResourceBound):
-        next(counts)
+        m_counts(one, 10**21, "brute")
 
 
 def test_dedup_cap_is_exact(monkeypatch):
