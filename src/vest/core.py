@@ -66,10 +66,6 @@ class Semiring(Enum):
     def zero(self) -> Scalar:
         return _Q_ZERO if self is Semiring.RATIONAL else 0
 
-    @property
-    def one(self) -> Scalar:
-        return _Q_ONE if self is Semiring.RATIONAL else 1
-
     def canon(self, value) -> Scalar:
         """Canonicalize *value* into this semiring.
 
@@ -96,7 +92,6 @@ class Semiring(Enum):
 
 
 _Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 # A module global: reading a member through the Enum class costs about 10x more.
 _GF2 = Semiring.GF2
 
@@ -351,18 +346,6 @@ class VestInstance:
         return tuple(t if isinstance(t, FunctionalMatrix) else None
                      for t in self.transformations)
 
-    @property
-    def all_functional(self) -> bool:
-        return all(isinstance(t, FunctionalMatrix) for t in self.transformations)
-
-    @property
-    def packed_ready(self) -> bool:
-        """True when every trajectory stays 0/1: 0/1 start vector and every
-        transformation functional. The packed engine also needs a selector
-        held as row actions."""
-        v = self.v
-        return self.all_functional and v.count(0) + v.count(1) == len(v)
-
 
 def new_instance(
     semiring: Semiring,
@@ -410,32 +393,20 @@ def _stored_form(semiring: Semiring, matrix: Matrix, nrows: Optional[int], ncols
     return DenseMatrix(rows) if actions is None else FunctionalMatrix(actions, ncols)
 
 
-# bytes.translate table that turns the bytes 0 and 1 into the digits "0" and "1"
-_GF2_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _scalars_text(semiring: Semiring, entries: Iterable[Scalar]) -> bytes:
+def _scalars_text(entries: Iterable[Scalar]) -> bytes:
     """Comma-joined ``str`` of *entries*, encoded: a canonical rational is
-    "p/q", or "p" when its denominator is 1. GF(2) scalars are the ints 0
-    and 1: when ``is_gf2_row`` confirms that, the text is made at C level,
-    one digit byte per entry with the commas put in between by slice
-    assignment."""
-    if semiring is _GF2:
-        entries = tuple(entries)
-        if is_gf2_row(entries):
-            text = bytearray(b",") * (2 * len(entries) - 1)
-            text[::2] = bytes(entries).translate(_GF2_DIGITS)
-            return text
+    "p/q", or "p" when its denominator is 1, and a canonical GF(2) scalar is
+    the int 0 or 1."""
     return ",".join(map(str, entries)).encode()
 
 
-def _selector_text(semiring: Semiring, selector: Matrix) -> bytes:
+def _selector_text(selector: Matrix) -> bytes:
     """``_scalars_text`` of the selector's entries, row after row. A selector
     held as row actions is written from its positions: every entry "0",
     then one "1" per row that copies a column. Canonical 0 and 1 read "0"
     and "1" in both semirings, so the text equals that of the dense rows."""
     if isinstance(selector, DenseMatrix):
-        return _scalars_text(semiring, chain.from_iterable(selector.rows))
+        return _scalars_text(chain.from_iterable(selector.rows))
     c, one = selector.ncols, ord("1")
     text = bytearray(b"0,") * (len(selector.actions) * c)
     del text[-1]
@@ -455,10 +426,9 @@ def instance_fingerprint(instance: VestInstance) -> str:
     """
     if instance._fingerprint is not None:
         return instance._fingerprint
-    sem = instance.semiring
     h = hashlib.sha256()
-    h.update(f"{sem.value};{instance.d};{instance.h};{instance.m};".encode())
-    h.update(_scalars_text(sem, instance.v))
+    h.update(f"{instance.semiring.value};{instance.d};{instance.h};{instance.m};".encode())
+    h.update(_scalars_text(instance.v))
     action_text = None
     for t in instance.transformations:
         if isinstance(t, FunctionalMatrix):
@@ -469,9 +439,9 @@ def instance_fingerprint(instance: VestInstance) -> str:
             h.update(",".join(map(action_text.__getitem__, t.actions)).encode())
         else:
             h.update(b"|D")
-            h.update(_scalars_text(sem, chain.from_iterable(t.rows)))
+            h.update(_scalars_text(chain.from_iterable(t.rows)))
     h.update(b"|S")
-    h.update(_selector_text(sem, instance.selector))
+    h.update(_selector_text(instance.selector))
     digest = h.hexdigest()[:16]
     object.__setattr__(instance, "_fingerprint", digest)
     return digest

@@ -240,16 +240,6 @@ def loads_instance(text: str) -> InstanceDocument:
     return instance_from_dict(data)
 
 
-def write_instance(path: str, doc: InstanceDocument) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_instance(doc))
-
-
-def read_instance(path: str) -> InstanceDocument:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_instance(fh.read())
-
-
 def msequence_to_dict(result: MSequenceResult) -> dict:
     return {
         "format": MSEQUENCE_FORMAT,

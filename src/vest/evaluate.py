@@ -23,9 +23,10 @@ Three evaluation modes share one state-walking core:
 Instances with a 0/1 start vector and every matrix held as row actions
 (``FunctionalMatrix``), the selector included, keep every reachable vector
 0/1. Those run on a packed engine that stores each vector as an int
-bitmask. Row i of a functional transformation copies bit ``action[i]`` to
-bit i, so rows that share the shift ``i - action[i]`` move together: a
-step is one masked shift per shift group. A selector row that copies bit j
+bitmask; ``PackedEngine.__init__`` is the one place that tests this rule.
+Row i of a functional transformation copies bit ``action[i]`` to bit i, so
+rows that share the shift ``i - action[i]`` move together: a step is one
+masked shift per shift group. A selector row that copies bit j
 is nonzero exactly when bit j is set, so the selector is one union mask.
 Its ``advance`` also absorbs dead states, those that no extension can make
 accepted because a selected bit can never clear (in a compiled instance: a
@@ -39,6 +40,12 @@ Both engines produce identical counts; the packed one is just faster.
 instance, so every evaluation of that instance shares it.
 ``check_sequence`` and ``m_k_bruteforce`` absorb nothing, so brute force
 checks the absorption of dedup.
+
+Each enumeration has one cap, a module constant read when the enumeration
+is asked for, never an argument: ``DEFAULT_BRUTE_CAP`` (sequences of one
+brute-force length) and ``DEFAULT_DEDUP_CAP`` (dedup levels, and distinct
+states per level) here, ``vest.graphs.DEFAULT_SUBSET_CAP`` (subsets of one
+dominating-set count).
 """
 
 from __future__ import annotations
@@ -209,9 +216,10 @@ class PackedEngine:
     selector test runs directly on the packed state: a selector row that
     copies entry j is nonzero exactly when bit j is set, so the selector is
     one union mask, the OR of ``1 << j`` over its actions, and a state is
-    annihilated when it meets none of it. Any other instance, a dense
-    selector included, raises ``ValueError``; ``engine_for`` gives it a
-    ``GenericEngine``.
+    annihilated when it meets none of it. This constructor is the one place
+    that states that rule: any other instance, a start vector entry outside
+    {0, 1}, a dense transformation or a dense selector, raises
+    ``ValueError``, and ``engine_for`` gives it a ``GenericEngine``.
 
     A union-mask bit whose closure under every action holds no ``None``
     (``_closures``) can never clear once that whole closure is set, so
@@ -224,22 +232,23 @@ class PackedEngine:
                  "_preimages")
 
     def __init__(self, instance: VestInstance):
-        selector = instance.selector
-        if not (instance.packed_ready and isinstance(selector, FunctionalMatrix)):
+        v, selector, transformations = instance.v, instance.selector, instance.transformations
+        if not (v.count(0) + v.count(1) == len(v) and isinstance(selector, FunctionalMatrix)
+                and all(isinstance(t, FunctionalMatrix) for t in transformations)):
             raise ValueError("instance does not qualify for the packed path")
         union = 0
         for j in selector.actions:
             if j is not None:
                 union |= 1 << j
         self._union_mask = union
-        self._plans = tuple(map(_shift_groups, instance.transformations))
+        self._plans = tuple(map(_shift_groups, transformations))
         initial = 0
-        for i in compress(range(instance.d), instance.v):
+        for i in compress(range(instance.d), v):
             initial |= 1 << i
         self._initial = initial
         # closures and preimages are left to their first use: checks never
         # need them
-        self._actions = tuple(t.actions for t in instance.transformations)
+        self._actions = tuple(t.actions for t in transformations)
         self._absorbing = None
         self._preimages = None
 
@@ -434,12 +443,12 @@ def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
     return engine.annihilates(state)
 
 
-def check_brute_bound(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP) -> None:
+def check_brute_bound(instance: VestInstance, k: int) -> None:
     """Raise ``ResourceBound`` when brute force over the length-k sequences
-    passes *cap*. A bound that admits k admits every shorter length, so a
-    caller that counts every length up to k tests k alone, before counting
-    any."""
-    m = instance.m
+    passes ``DEFAULT_BRUTE_CAP``, read at each call. A bound that admits k
+    admits every shorter length, so a caller that counts every length up to
+    k tests k alone, before counting any."""
+    m, cap = instance.m, DEFAULT_BRUTE_CAP
     # Each sequence walks k steps, so k itself is held to the cap too: with
     # m=1 there is one sequence for every k. m >= 2**(b - 1) for its bit
     # length b, so the middle test refuses a huge k before m**k is ever
@@ -452,7 +461,7 @@ def check_brute_bound(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_C
             f"of {cap}; the dedup method may still be feasible")
 
 
-def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
+def m_k_bruteforce(instance: VestInstance, k: int) -> int:
     """Count annihilated length-k sequences by enumerating all m**k of them.
 
     Prefixes are shared through a depth-first walk, so the state at depth j
@@ -460,7 +469,7 @@ def m_k_bruteforce(instance: VestInstance, k: int, cap: int = DEFAULT_BRUTE_CAP)
     """
     if k < 0:
         raise NegativeLength(f"sequence length must be >= 0, got {k}")
-    check_brute_bound(instance, k, cap)
+    check_brute_bound(instance, k)
     m = instance.m
     engine = engine_for(instance)
     step, annihilates = engine.step, engine.annihilates
@@ -523,18 +532,18 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     _check_dedup_length(k_max)
-    return _levels(engine_for(instance), k_max, DEFAULT_DEDUP_CAP)
+    return _levels(engine_for(instance), k_max)
 
 
-def _levels(engine, k_max: int, cap: int) -> Iterator[StateDistribution]:
+def _levels(engine, k_max: int) -> Iterator[StateDistribution]:
     dist = {engine.initial(): 1}
     for level in range(k_max + 1):
         if level:
             dist = engine.advance(dist)
-        if len(dist) > cap:
+        if len(dist) > DEFAULT_DEDUP_CAP:
             raise ResourceBound(
                 f"dedup level {level} holds {len(dist)} distinct states, "
-                f"above the cap of {cap}")
+                f"above the cap of {DEFAULT_DEDUP_CAP}")
         yield StateDistribution(level, dist)
 
 

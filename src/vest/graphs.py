@@ -117,17 +117,26 @@ def is_dominating(g: Graph, vertices: VertexSet) -> bool:
     return (covered | mask) == g.full_mask
 
 
-def count_dominating_sets(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> int:
-    """Number of dominating sets of size exactly k, by direct enumeration."""
+def check_subset_bound(g: Graph, k: int) -> None:
+    """Raise ``ResourceBound`` when counting the size-k sets of *g* passes
+    ``DEFAULT_SUBSET_CAP``, read at each call. C(n, k) grows with k up to
+    k = n // 2, so a caller that counts every size up to k tests
+    ``min(k, n // 2)`` alone, before counting any."""
+    total = math.comb(g.n, k)
+    if total > DEFAULT_SUBSET_CAP:
+        raise ResourceBound(
+            f"counting size-{k} sets in a {g.n}-vertex graph needs {total} "
+            f"subset checks, above the cap of {DEFAULT_SUBSET_CAP}")
+
+
+def count_dominating_sets(g: Graph, k: int) -> int:
+    """Number of dominating sets of size exactly k, by direct enumeration;
+    refused by ``check_subset_bound`` when it passes the subset cap."""
     if k < 0:
         raise NegativeLength(f"set size must be >= 0, got {k}")
     if k > g.n:
         return 0
-    total = math.comb(g.n, k)
-    if total > cap:
-        raise ResourceBound(
-            f"counting size-{k} sets in a {g.n}-vertex graph needs {total} "
-            f"subset checks, above the cap of {cap}")
+    check_subset_bound(g, k)
     if k == 0:
         return 1 if g.n == 0 else 0
     closed = [g.adj[u] | 1 << u for u in range(g.n)]

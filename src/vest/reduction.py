@@ -15,8 +15,9 @@ dominate the graph. Length-k annihilated sequences are therefore ordered
 listings of size-k dominating sets, giving M_k = k! * D_k where D_k counts
 dominating sets of size exactly k.
 
-All matrices built here are functional (0/1 with at most one 1 per row), so
-reduced instances always qualify for the packed evaluation path. They are
+All matrices built here are functional (0/1 with at most one 1 per row)
+and the start vector is 0/1, so every compiled instance runs on
+``PackedEngine``, whose constructor states that rule. The matrices are
 built and kept as row actions, the 2n x (3n + 1) selector included, so no
 compiled matrix is ever held as dense rows. A vertex matrix moves only
 deg(u) + 3 of its 3n + 1 rows; its constructor finds those and checks
@@ -33,7 +34,7 @@ from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
 from .evaluate import DEDUP, m_counts
-from .graphs import Graph, count_dominating_sets, mask_vertices
+from .graphs import Graph, check_subset_bound, count_dominating_sets, mask_vertices
 
 
 class EmptyGraph(VestError):
@@ -172,13 +173,17 @@ def run_verification(
     start vector. It exists as a negative control: a verification harness
     that cannot fail on a sabotaged instance proves nothing. A negative
     *k_max* raises ``NegativeLength`` from ``m_counts`` before any row
-    exists, so zero rows never pass vacuously; so does a brute-force job
-    whose *k_max* passes the brute-force cap (``ResourceBound``).
+    exists, so zero rows never pass vacuously. A job past a cap raises
+    ``ResourceBound`` before the first count too: a brute-force *k_max*
+    past the brute-force cap, from ``m_counts``, and a dominating-set side
+    past the subset cap, from ``check_subset_bound`` at the size where
+    C(n, k) peaks.
     """
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])
     counts = m_counts(instance, k_max, evaluator)
+    check_subset_bound(g, min(k_max, g.n // 2))
     rows = []
     for k in range(k_max + 1):
         start = perf_counter()

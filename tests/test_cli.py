@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import vest.graphs
 from vest import Semiring, instance_fingerprint, parse_graph, reduce_graph
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
@@ -253,6 +254,19 @@ def test_huge_brute_force_lengths_are_refused_at_once(p3_file, p3_instance, caps
             assert main(args + ["--method", "brute", "--kmax", str(k_max)]) == 2
             _assert_one_line_error(capsys)
     assert time.perf_counter() - start < 1.0
+
+
+def test_verify_refuses_a_subset_job_past_the_cap_before_counting(tmp_path, capsys,
+                                                                  monkeypatch):
+    # C(6, 3) = 20 sets: under a cap of 19, --kmax 3 on six vertices is
+    # refused before any row is counted
+    monkeypatch.setattr(vest.graphs, "DEFAULT_SUBSET_CAP", 19)
+    path = tmp_path / "e6.txt"
+    path.write_text("6 0\n")
+    for method in ("dedup", "brute"):
+        assert main(["verify", "-i", str(path), "--kmax", "3", "--method", method]) == 2
+        _assert_one_line_error(capsys)
+    assert main(["verify", "-i", str(path), "--kmax", "2"]) == 0
 
 
 def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):

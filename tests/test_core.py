@@ -26,6 +26,7 @@ from vest import (
     to_functional,
 )
 from vest.core import canon_vector
+from vest.evaluate import PackedEngine, engine_for
 
 from helpers import path_graph, random_graph
 
@@ -298,19 +299,8 @@ def test_new_instance_canonicalizes_and_classifies():
     assert inst.transformations[0] == FunctionalMatrix((0, None)) == DenseMatrix(((1, 0), (0, 0)))
     assert isinstance(inst.transformations[1], DenseMatrix)
     assert inst.functional_forms == (inst.transformations[0], None)
-    assert not inst.all_functional
-    assert not inst.packed_ready
-
-
-def test_packed_ready_requires_binary_vector():
-    t = FunctionalMatrix((0, 1))
-    sel = DenseMatrix(((1, 1),))
-    assert new_instance(Semiring.RATIONAL, (1, 0), (t,), sel).packed_ready
-    assert not new_instance(Semiring.RATIONAL, (Fraction(1, 2), 0), (t,), sel).packed_ready
-    assert new_instance(Semiring.GF2, (1, 1), (t,), sel).packed_ready
-    assert not new_instance(Semiring.RATIONAL, (2, 0), (t,), sel).packed_ready
-    assert not new_instance(Semiring.RATIONAL, (1, 0), (DenseMatrix(((1, 1), (0, 1))),),
-                            sel).packed_ready
+    # a dense transformation keeps the instance off the packed engine
+    assert not isinstance(engine_for(inst), PackedEngine)
 
 
 def test_fingerprint_stability_across_representations():
@@ -402,7 +392,7 @@ def test_fingerprint_text_matches_the_joined_text():
         for n in (1, 4, 11):
             instances.append(reduce_graph(random_graph(rng, n, 0.4), semiring).instance)
     # a GF(2) instance built around new_instance, with a bool entry that is
-    # not canonical: it takes the text path entry by entry
+    # not canonical: the one text path writes it through str as well
     gf2 = instances[0]
     instances.append(dataclasses.replace(gf2, v=(True,) + gf2.v[1:]))
     for inst in instances:

@@ -32,10 +32,8 @@ from vest.documents import (
     loads_instance,
     msequence_from_dict,
     msequence_to_dict,
-    read_instance,
     verification_to_dict,
     verification_to_text,
-    write_instance,
 )
 
 from helpers import path_graph, random_functional_matrix, random_graph, random_rational_instance
@@ -156,8 +154,8 @@ def test_functional_instances_round_trip_to_equal_instances():
 def test_file_round_trip(tmp_path):
     path = tmp_path / "inst.json"
     doc = InstanceDocument(reduce_graph(path_graph(2)).instance, {"src": "p2"})
-    write_instance(str(path), doc)
-    loaded = read_instance(str(path))
+    path.write_text(dumps_instance(doc))
+    loaded = loads_instance(path.read_text())
     assert loaded.instance == doc.instance
     assert loaded.metadata == doc.metadata
 
@@ -249,7 +247,7 @@ def test_version_1_documents_still_load(name, graph_file, fingerprint):
 def test_compiled_documents_load_the_selector_as_row_actions(name):
     # versions 1 and 2 write the selector as dense rows of single 1s,
     # version 3 as its row actions
-    doc = read_instance(str(DATA / name))
+    doc = loads_instance((DATA / name).read_text())
     compiled = reduce_graph(parse_graph((DATA / "g6.txt").read_text())).instance
     assert isinstance(doc.instance.selector, FunctionalMatrix)
     assert doc.instance.selector.actions == compiled.selector.actions

@@ -17,6 +17,7 @@ import pytest
 
 import vest.core
 import vest.evaluate
+import vest.graphs
 from vest import (
     DenseMatrix,
     FunctionalMatrix,
@@ -28,6 +29,7 @@ from vest import (
     Semiring,
     annihilated_mass,
     check_sequence,
+    count_dominating_sets,
     dedup_levels,
     instance_fingerprint,
     m_counts,
@@ -104,20 +106,24 @@ def test_methods_agree_on_random_rational_instances():
             assert m_k_bruteforce(inst, k) == m_k_dedup(inst, k)
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     inst = reduce_graph(path_graph(3)).instance
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 1000)
     with pytest.raises(ResourceBound) as err:
-        m_k_bruteforce(inst, 20, cap=1000)
+        m_k_bruteforce(inst, 20)
     assert "dedup" in str(err.value)
     with pytest.raises(ValueError):
         m_k_bruteforce(inst, -1)
 
 
-def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once():
+def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once(monkeypatch):
     inst = reduce_graph(path_graph(3)).instance  # m = 3
-    assert m_k_bruteforce(inst, 4, cap=81) == m_k_dedup(inst, 4)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 81)
+    assert m_k_bruteforce(inst, 4) == m_k_dedup(inst, 4)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 80)
     with pytest.raises(ResourceBound):
-        m_k_bruteforce(inst, 4, cap=80)
+        m_k_bruteforce(inst, 4)
+    monkeypatch.undo()
     start = time.perf_counter()
     for k in (10**6, 10**18, 10**100):
         with pytest.raises(ResourceBound):
@@ -125,33 +131,55 @@ def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once():
     assert time.perf_counter() - start < 1.0
 
 
-def test_brute_bound_refuses_exactly_the_jobs_past_the_cap():
+def test_brute_bound_refuses_exactly_the_jobs_past_the_cap(monkeypatch):
     for m in (1, 2, 3, 4, 7, 8, 9, 1000, 20000):
         inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * m,
                             DenseMatrix(((0,),)))
         for cap in (0, 1, 3, 81, 1024, 10**8):
+            monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", cap)
             for k in range(64):
                 refused = k > cap or m ** k > cap
                 try:
-                    check_brute_bound(inst, k, cap)
+                    check_brute_bound(inst, k)
                 except ResourceBound:
                     assert refused, (m, k, cap)
                 else:
                     assert not refused, (m, k, cap)
 
 
-def test_bruteforce_cap_bounds_the_walk_length():
+def test_bruteforce_cap_bounds_the_walk_length(monkeypatch):
     # one transformation: a single sequence for every k, so only k itself
     # can keep the walk short
     inst = reduce_graph(path_graph(1)).instance
     assert inst.m == 1
-    assert m_k_bruteforce(inst, 3, cap=3) == m_k_dedup(inst, 3)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 3)
+    assert m_k_bruteforce(inst, 3) == m_k_dedup(inst, 3)
     with pytest.raises(ResourceBound):
-        m_k_bruteforce(inst, 4, cap=3)
+        m_k_bruteforce(inst, 4)
+    monkeypatch.undo()
     start = time.perf_counter()
     with pytest.raises(ResourceBound):
         m_k_bruteforce(inst, 10**9)
     assert time.perf_counter() - start < 1.0
+
+
+def test_each_cap_is_read_at_call_time(monkeypatch):
+    # each cap is a module constant: setting it takes effect on the next
+    # call, and setting it back undoes that
+    p3 = reduce_graph(path_graph(3)).instance  # m = 3: 3**4 = 81 sequences
+    p6 = path_graph(6)  # C(6, 3) = 20 sets
+    calls = [
+        (vest.evaluate, "DEFAULT_BRUTE_CAP", 81, lambda: m_k_bruteforce(p3, 4)),
+        (vest.evaluate, "DEFAULT_DEDUP_CAP", 4, lambda: list(dedup_levels(K1, 4))),
+        (vest.graphs, "DEFAULT_SUBSET_CAP", 20, lambda: count_dominating_sets(p6, 3)),
+    ]
+    for module, name, exact, call in calls:
+        expected = call()
+        monkeypatch.setattr(module, name, exact - 1)
+        with pytest.raises(ResourceBound):
+            call()
+        monkeypatch.setattr(module, name, exact)
+        assert call() == expected
 
 
 def test_level_masses_and_level_indices():
@@ -254,10 +282,27 @@ def test_packed_engine_rejects_unqualified_instances():
     # dense
     inst = new_instance(
         Semiring.GF2, (1, 0), (FunctionalMatrix((1, 0)),), DenseMatrix(((1, 1),)))
-    assert inst.packed_ready and isinstance(inst.selector, DenseMatrix)
+    assert isinstance(inst.selector, DenseMatrix)
     with pytest.raises(ValueError):
         PackedEngine(inst)
     assert isinstance(engine_for(inst), GenericEngine)
+    # the same instance with a selector held as row actions is packed
+    by_actions = dataclasses.replace(inst, selector=FunctionalMatrix((0,), 2))
+    assert isinstance(engine_for(by_actions), PackedEngine)
+
+
+def test_packed_engine_requires_a_binary_start_vector():
+    t = FunctionalMatrix((0, 1))
+    sel = DenseMatrix(((1, 0),))  # held as row actions
+    for semiring, v, t_given, packed in [
+            (Semiring.RATIONAL, (1, 0), t, True),
+            (Semiring.GF2, (1, 1), t, True),
+            (Semiring.RATIONAL, (Fraction(1, 2), 0), t, False),
+            (Semiring.RATIONAL, (2, 0), t, False),
+            (Semiring.RATIONAL, (1, 0), DenseMatrix(((1, 1), (0, 1))), False)]:
+        inst = new_instance(semiring, v, (t_given,), sel)
+        assert isinstance(inst.selector, FunctionalMatrix)
+        assert isinstance(engine_for(inst), PackedEngine if packed else GenericEngine)
 
 
 def test_packed_encode_decode_round_trip():
@@ -783,9 +828,10 @@ def test_absorbing_closures_on_random_functional_instances(semiring, reach_none)
         assert absorbed >= 10
 
 
-def test_parity_selector_bits_do_not_absorb():
+def test_parity_selector_counts_match_reference_and_brute_force():
     # over GF(2) a row reading two chosen-twice slots is zero again when
-    # both are set, so those bits never make a state dead
+    # both are set; such a selector stays dense, and its counts must match
+    # the Fraction reference and brute force
     g = cycle_graph(4)
     compiled = reduce_graph(g).instance
     d = compiled.d
@@ -801,9 +847,7 @@ def test_parity_selector_bits_do_not_absorb():
                          DenseMatrix(rows + uncovered))
     for inst in (parity, mixed):
         k_max = 6
-        levels = list(dedup_levels(inst, k_max))
-        assert [len(dist.entries) for dist in levels] == _generic_level_sizes(inst, k_max)
-        counts = tuple(annihilated_mass(inst, dist) for dist in levels)
+        counts = tuple(annihilated_mass(inst, dist) for dist in dedup_levels(inst, k_max))
         assert counts == Reference(inst).counts(k_max)
         assert counts == m_sequence(inst, k_max, method="brute").values
     assert any(m_sequence(parity, 6).values)
@@ -822,17 +866,18 @@ def test_dead_start_vector_stays_level_zero():
     assert m_sequence(inst, 3).values == (0, 0, 0, 0)
 
 
-def _same_source_parity_instance():
-    # parity row {0, 1}: transformation 0 copies bit 2 into rows 0 and 1,
-    # two right-shift groups, so after it the pair always has even parity
+def _same_source_instance():
+    # selector rows read bits 0 and 1; transformation 0 copies bit 2 into
+    # both, two right-shift groups of one source bit, which
+    # PackedEngine._pull_back must shift back left into the preimage
     return new_instance(Semiring.GF2, (0, 0, 1),
                         (FunctionalMatrix((2, 2, 2)), FunctionalMatrix((None, 0, 1))),
-                        DenseMatrix(((1, 1, 0),)))
+                        FunctionalMatrix((0, 1), 3))
 
 
 def _accepted_mass_instances():
     rng = random.Random("accepted-mass")
-    instances = [_same_source_parity_instance(),
+    instances = [_same_source_instance(),
                  new_instance(Semiring.GF2, (1, 1, 0),
                               (FunctionalMatrix((1, 0, None)), FunctionalMatrix((0, 1, 0))),
                               DenseMatrix(((1, 0, 0),)))]
@@ -854,6 +899,8 @@ def test_accepted_mass_matches_the_built_next_level():
     # instance engine's), and accepted_mass of each level is the annihilated
     # mass of the level it advances to; the counts made with them match
     # brute force
+    # the same-source instance reaches the right shifts of _pull_back
+    assert isinstance(engine_for(_same_source_instance()), PackedEngine)
     seen = dict.fromkeys(("packed", "union", "left", "right", "none", "parity", "dead",
                           "generic dense GF2", "generic dense RATIONAL",
                           "generic actions GF2", "generic actions RATIONAL"), 0)
@@ -910,7 +957,7 @@ def _spy_on_engines(monkeypatch):
 
 def test_m_counts_builds_levels_up_to_k_max_minus_one(monkeypatch):
     calls = _spy_on_engines(monkeypatch)
-    for inst in (K1, reduce_graph(cycle_graph(4)).instance, _same_source_parity_instance(),
+    for inst in (K1, reduce_graph(cycle_graph(4)).instance, _same_source_instance(),
                  random_rational_instance(random.Random(3))):
         expected = Reference(inst).counts(3)
         for k_max in range(4):

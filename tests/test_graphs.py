@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import vest.graphs
 from vest import (
     Graph,
     GraphSyntaxError,
@@ -142,10 +143,11 @@ def test_count_edge_cases():
         count_dominating_sets(g, -1)
 
 
-def test_count_respects_cap():
+def test_count_respects_cap(monkeypatch):
     g = edgeless_graph(30)
+    monkeypatch.setattr(vest.graphs, "DEFAULT_SUBSET_CAP", 1000)
     with pytest.raises(ResourceBound):
-        count_dominating_sets(g, 15, cap=1000)
+        count_dominating_sets(g, 15)
 
 
 def test_nonisomorphic_catalog_sizes():

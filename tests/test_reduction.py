@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+import vest.evaluate
+import vest.graphs
+import vest.reduction
 from vest import (
     EmptyGraph,
     FunctionalMatrix,
     NegativeLength,
+    ResourceBound,
     Semiring,
     VestError,
     build_initial_vector,
@@ -22,6 +26,7 @@ from vest import (
     run_verification,
     to_functional,
 )
+from vest.evaluate import PackedEngine, engine_for
 
 from helpers import (
     complete_graph,
@@ -138,8 +143,7 @@ def test_vertex_actions_move_their_closed_neighbourhood_and_chosen_slots():
 def test_compiled_instances_are_fully_functional():
     for g in (path_graph(4), complete_graph(3), edgeless_graph(2)):
         reduced = reduce_graph(g)
-        assert reduced.instance.all_functional
-        assert reduced.instance.packed_ready
+        assert isinstance(engine_for(reduced.instance), PackedEngine)
         assert reduced.vertex_count == g.n
         for t, form in zip(reduced.instance.transformations,
                            reduced.instance.functional_forms):
@@ -201,3 +205,23 @@ def test_run_verification_refuses_a_negative_length():
         with pytest.raises(NegativeLength) as info:
             run_verification(path_graph(3), -1, evaluator=evaluator)
         assert isinstance(info.value, VestError)
+
+
+def test_run_verification_refuses_a_subset_job_past_the_cap_before_counting(monkeypatch):
+    # C(6, k) peaks at k = 3 with 20 sets. Under a cap of 19 every job that
+    # reaches k = 3 is refused before its first count, M_k or D_k, though
+    # C(6, 5) = 6 and C(6, 6) = 1 would pass; k_max = 2 (15 sets) runs.
+    g = path_graph(6)
+    monkeypatch.setattr(vest.graphs, "DEFAULT_SUBSET_CAP", 19)
+    assert run_verification(g, 2).all_pass
+    counted = []
+    monkeypatch.setattr(vest.evaluate, "annihilated_mass", lambda *args: counted.append(args))
+    monkeypatch.setattr(vest.evaluate, "m_k_bruteforce", lambda *args: counted.append(args))
+    monkeypatch.setattr(vest.reduction, "count_dominating_sets",
+                        lambda *args: counted.append(args))
+    for evaluator in ("dedup", "brute"):
+        for k_max in (3, 4, 6, 10):
+            with pytest.raises(ResourceBound) as info:
+                run_verification(g, k_max, evaluator=evaluator)
+            assert "size-3 sets in a 6-vertex graph" in str(info.value)
+    assert counted == []
