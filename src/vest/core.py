@@ -169,8 +169,8 @@ class FunctionalMatrix:
     copies column j. The column count *ncols* defaults to the number of
     rows, so a matrix built from actions alone is square, as every
     transformation must be; a compiled selector is 2n x (3n+1). Applying
-    such a matrix never adds two entries, so a 0/1 vector stays 0/1 and the
-    result is the same in both semirings.
+    such a matrix only copies or zeroes entries: a 0/1 vector stays 0/1, a
+    zero entry stays zero, and both semirings give the same result.
 
     ``moved`` holds the ascending indices of the rows whose action is not
     their own index: the rows a step changes. A compiled vertex matrix moves

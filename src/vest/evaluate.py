@@ -20,24 +20,25 @@ Three evaluation modes share one state-walking core:
   CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x faster as
   loops than written with ``sum``, ``any`` or ``map`` over bound methods.
 
-Instances with a 0/1 start vector and every matrix held as row actions
-(``FunctionalMatrix``), the selector included, keep every reachable vector
-0/1. Those run on a packed engine that stores each vector as an int
-bitmask; ``PackedEngine.__init__`` is the one place that tests this rule.
-Row i of a functional transformation copies bit ``action[i]`` to bit i, so
-rows that share the shift ``i - action[i]`` move together: a step is one
-masked shift per shift group. A selector row that copies bit j
-is nonzero exactly when bit j is set, so the selector is one union mask.
-Its ``advance`` also absorbs dead states, those that no extension can make
-accepted because a selected bit can never clear (in a compiled instance: a
-vertex chosen twice); they merge into one dead representative. Its
-``accepted_mass`` tests each state against the union mask pulled back
-through each transformation (one preimage mask per transformation), one
-AND per successor. Every other instance, a dense selector included, runs
-on a generic engine over tuples of ints, scaled once from its rationals.
-Both engines produce identical counts; the packed one is just faster.
-``engine_for`` builds an instance's engine once and keeps it on the
-instance, so every evaluation of that instance shares it.
+Instances with every matrix held as row actions (``FunctionalMatrix``),
+the selector included, run on a packed engine that stores each vector's
+support (bit i set when entry i is nonzero) as an int bitmask, whatever
+the start vector: row actions only copy or zero entries, so acceptance
+depends on the support alone. ``PackedEngine.__init__`` is the one place
+that tests this rule. Row i of a functional transformation copies bit
+``action[i]`` to bit i, so rows that share the shift ``i - action[i]``
+move together: a step is one masked shift per shift group. A selector row
+that copies bit j is nonzero exactly when bit j is set, so the selector is
+one union mask. Its ``advance`` also absorbs dead states, those that no
+extension can make accepted because a selected bit can never clear (in a
+compiled instance: a vertex chosen twice); they merge into one dead
+representative. Its ``accepted_mass`` tests each state against the union
+mask pulled back through each transformation (one preimage mask per
+transformation), one AND per successor. Every other instance, a dense
+selector included, runs on a generic engine over tuples of ints, scaled
+once from its rationals. Both engines produce identical counts; the packed
+one is just faster. ``engine_for`` builds an instance's engine once and
+keeps it on the instance, so every evaluation of that instance shares it.
 ``check_sequence`` and ``m_k_bruteforce`` absorb nothing, so brute force
 checks the absorption of dedup.
 
@@ -91,15 +92,15 @@ class GenericEngine:
     """State walker over int tuples; serves every instance that the packed
     engine does not take.
 
-    Over the rationals the start vector and each dense transformation are
-    scaled once to ints, each by the lcm of its denominators, and each
-    selector row by its own lcm. A state is then a positive multiple of the
-    exact vector, which changes no verdict: ``S(cx) = 0`` exactly when
-    ``Sx = 0``, and ``T(cx) = cTx``. Over GF(2) entries are already the ints
-    0 and 1, and every sum is taken mod 2: ``& 1``. Over the rationals the
-    same ``& mask`` is ``& -1``, which keeps every int as it is. A selector
-    held as row actions is read through them: a row that copies entry j is
-    zero exactly when entry j is, and a zero row always is, so the state is
+    Over the rationals the start vector, each dense transformation and a
+    dense selector are scaled once to ints, each by the lcm of its
+    denominators, to positive multiples of the exact ones. That changes no
+    verdict: ``(cS)x``, ``S(cx)`` and ``Sx`` are zero together, and
+    ``T(cx) = cTx``. Over GF(2) entries are already the ints 0 and 1, and
+    every sum is taken mod 2: ``& 1``. Over the rationals the same
+    ``& mask`` is ``& -1``, which keeps every int as it is. A selector held
+    as row actions is read through them: a row that copies entry j is zero
+    exactly when entry j is, and a zero row always is, so the state is
     annihilated when every copied entry is zero.
     """
 
@@ -120,12 +121,9 @@ class GenericEngine:
         self._rows = tuple(
             None if isinstance(t, FunctionalMatrix) else integral(t.rows) for t in ts)
         sel = instance.selector
-        if isinstance(sel, FunctionalMatrix):
-            self._watched = tuple(set(sel.actions) - {None})
-            self._selector = None
-        else:
-            self._watched = None
-            self._selector = tuple(integral((row,))[0] for row in sel.rows)
+        functional = isinstance(sel, FunctionalMatrix)
+        self._watched = tuple(set(sel.actions) - {None}) if functional else None
+        self._selector = None if functional else integral(sel.rows)
 
     def initial(self) -> Tuple[int, ...]:
         return self._initial
@@ -204,21 +202,22 @@ def _shift_groups(t: FunctionalMatrix) -> Tuple[int, tuple, tuple]:
 
 
 class PackedEngine:
-    """Bitmask state walker for a 0/1 start vector with every transformation
-    and the selector held as row actions (``FunctionalMatrix``).
+    """Bitmask state walker for an instance with every transformation and
+    the selector held as row actions (``FunctionalMatrix``).
 
-    A state is an int whose bit i is vector entry i. Each transformation's
-    moved rows (``FunctionalMatrix.moved``) are grouped by shift
-    (``_shift_groups``), so building the plans takes Python work per moved
-    row only, deg(u) + 3 rows of a compiled vertex matrix; a step ORs one
-    ``(state & mask) << shift`` per group, or ``>> -shift`` when the shift
-    is negative. A compiled vertex matrix has at most three groups. The
-    selector test runs directly on the packed state: a selector row that
-    copies entry j is nonzero exactly when bit j is set, so the selector is
-    one union mask, the OR of ``1 << j`` over its actions, and a state is
-    annihilated when it meets none of it. This constructor is the one place
-    that states that rule: any other instance, a start vector entry outside
-    {0, 1}, a dense transformation or a dense selector, raises
+    A state is an int whose bit i is set when vector entry i is nonzero,
+    which row actions keep exact whatever the start vector. Each
+    transformation's moved rows (``FunctionalMatrix.moved``) are grouped
+    by shift (``_shift_groups``), so building the plans takes Python work
+    per moved row only, deg(u) + 3 rows of a compiled vertex matrix; a
+    step ORs one ``(state & mask) << shift`` per group, or ``>> -shift``
+    when the shift is negative. A compiled vertex matrix has at most three
+    groups. The selector test runs directly on the packed state: a
+    selector row that copies entry j is nonzero exactly when bit j is set,
+    so the selector is one union mask, the OR of ``1 << j`` over its
+    actions, and a state is annihilated when it meets none of it. This
+    constructor is the one place that states that rule: any other
+    instance, one with a dense transformation or a dense selector, raises
     ``ValueError``, and ``engine_for`` gives it a ``GenericEngine``.
 
     A union-mask bit whose closure under every action holds no ``None``
@@ -232,9 +231,8 @@ class PackedEngine:
                  "_preimages")
 
     def __init__(self, instance: VestInstance):
-        v, selector, transformations = instance.v, instance.selector, instance.transformations
-        if not (v.count(0) + v.count(1) == len(v) and isinstance(selector, FunctionalMatrix)
-                and all(isinstance(t, FunctionalMatrix) for t in transformations)):
+        selector, transformations = instance.selector, instance.transformations
+        if not all(isinstance(t, FunctionalMatrix) for t in (selector, *transformations)):
             raise ValueError("instance does not qualify for the packed path")
         union = 0
         for j in selector.actions:
@@ -243,7 +241,7 @@ class PackedEngine:
         self._union_mask = union
         self._plans = tuple(map(_shift_groups, transformations))
         initial = 0
-        for i in compress(range(instance.d), v):
+        for i in compress(range(instance.d), instance.v):
             initial |= 1 << i
         self._initial = initial
         # closures and preimages are left to their first use: checks never
@@ -414,7 +412,7 @@ def engine_for(instance: VestInstance):
     if engine is None:
         try:
             engine = PackedEngine(instance)
-        except ValueError:  # not 0/1 row actions throughout
+        except ValueError:  # not row actions throughout
             engine = GenericEngine(instance)
         object.__setattr__(instance, "_engine", engine)
     return engine

@@ -15,14 +15,13 @@ dominate the graph. Length-k annihilated sequences are therefore ordered
 listings of size-k dominating sets, giving M_k = k! * D_k where D_k counts
 dominating sets of size exactly k.
 
-All matrices built here are functional (0/1 with at most one 1 per row)
-and the start vector is 0/1, so every compiled instance runs on
-``PackedEngine``, whose constructor states that rule. The matrices are
-built and kept as row actions, the 2n x (3n + 1) selector included, so no
-compiled matrix is ever held as dense rows. A vertex matrix moves only
-deg(u) + 3 of its 3n + 1 rows; its constructor finds those and checks
-them alone, and the engine's step plans walk them alone
-(``FunctionalMatrix.moved``).
+All matrices built here are functional (0/1 with at most one 1 per row),
+so every compiled instance runs on ``PackedEngine``, whose constructor
+states that rule. The matrices are built and kept as row actions, the
+2n x (3n + 1) selector included, so no compiled matrix is ever held as
+dense rows. A vertex matrix moves only deg(u) + 3 of its 3n + 1 rows; its
+constructor finds those and checks them alone, and the engine's step plans
+walk them alone (``FunctionalMatrix.moved``).
 ``run_verification`` checks that identity on a given graph.
 """
 

@@ -15,7 +15,7 @@ import types
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import vest.core
 from vest import DenseMatrix, FunctionalMatrix, Graph, Semiring, VestInstance, new_instance
@@ -138,9 +138,10 @@ def random_rational_instance(rng, max_d: int = 4, max_m: int = 3, max_h: int = 3
     return new_instance(Semiring.RATIONAL, v, transformations, selector)
 
 
-def random_functional_matrix(rng, d: int) -> FunctionalMatrix:
+def random_functional_matrix(rng, d: int, rows: Optional[int] = None) -> FunctionalMatrix:
+    """*rows* x d row actions (d x d by default), each a random column or zero."""
     choices = [None] + list(range(d))
-    return FunctionalMatrix(tuple(rng.choice(choices) for _ in range(d)))
+    return FunctionalMatrix(tuple(rng.choice(choices) for _ in range(rows or d)), d)
 
 
 class Reference:

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import vest.graphs
-from vest import Semiring, instance_fingerprint, parse_graph, reduce_graph
+from vest import FunctionalMatrix, Semiring, instance_fingerprint, parse_graph, reduce_graph
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
+from vest.evaluate import PackedEngine, engine_for
 
 from helpers import Reference, count_hashes
 
@@ -129,6 +130,24 @@ def test_rational_fixture_counts_are_pinned(capsys):
     assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 2, 5, 14, 41)))
     for method in ("dedup", "brute"):
         assert main(["eval", "-i", str(DATA / "q_small.json"), "--kmax", "4",
+                     "--method", method]) == 0
+        assert capsys.readouterr().out == pinned
+
+
+def test_support_fixture_counts_are_pinned(capsys):
+    # q_support.json holds only row actions and a start vector with zeros and
+    # entries outside {0, 1}; CI diffs the same eval output against
+    # q_support_m4.txt, whose counts were written when such an instance ran
+    # on the generic engine. It now runs on the packed one.
+    inst = loads_instance((DATA / "q_support.json").read_text()).instance
+    assert 0 in inst.v and any(e not in (0, 1) for e in inst.v)
+    assert all(isinstance(t, FunctionalMatrix) for t in (inst.selector, *inst.transformations))
+    assert isinstance(engine_for(inst), PackedEngine)
+    assert Reference(inst).counts(4) == (0, 1, 2, 5, 12)
+    pinned = (DATA / "q_support_m4.txt").read_text()
+    assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 1, 2, 5, 12)))
+    for method in ("dedup", "brute"):
+        assert main(["eval", "-i", str(DATA / "q_support.json"), "--kmax", "4",
                      "--method", method]) == 0
         assert capsys.readouterr().out == pinned
 

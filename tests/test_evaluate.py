@@ -267,11 +267,12 @@ def test_shift_groups_walk_moved_rows_only():
 
 
 def test_packed_engine_rejects_unqualified_instances():
+    # a start vector entry outside {0, 1} is packed as its support
     inst = new_instance(
         Semiring.RATIONAL, (Fraction(1, 2),), (FunctionalMatrix((0,)),),
         DenseMatrix(((1,),)))
-    with pytest.raises(ValueError):
-        PackedEngine(inst)
+    assert isinstance(engine_for(inst), PackedEngine)
+    assert m_sequence(inst, 2).values == Reference(inst).counts(2) == (0, 0, 0)
     # 0/1 trajectories, but a selector entry outside {0, 1}
     inst = new_instance(
         Semiring.RATIONAL, (1,), (FunctionalMatrix((0,)),), DenseMatrix(((2,),)))
@@ -291,18 +292,64 @@ def test_packed_engine_rejects_unqualified_instances():
     assert isinstance(engine_for(by_actions), PackedEngine)
 
 
-def test_packed_engine_requires_a_binary_start_vector():
-    t = FunctionalMatrix((0, 1))
-    sel = DenseMatrix(((1, 0),))  # held as row actions
-    for semiring, v, t_given, packed in [
-            (Semiring.RATIONAL, (1, 0), t, True),
-            (Semiring.GF2, (1, 1), t, True),
-            (Semiring.RATIONAL, (Fraction(1, 2), 0), t, False),
-            (Semiring.RATIONAL, (2, 0), t, False),
-            (Semiring.RATIONAL, (1, 0), DenseMatrix(((1, 1), (0, 1))), False)]:
-        inst = new_instance(semiring, v, (t_given,), sel)
-        assert isinstance(inst.selector, FunctionalMatrix)
+def _support_instance(rng):
+    """Rational instance whose transformations and selector are row actions,
+    with a ``random_scalar`` start vector that holds an entry outside
+    {0, 1}."""
+    d = rng.randint(1, 6)
+    v = [random_scalar(rng) for _ in range(d)]
+    v[rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(-3, 2), Fraction(1, 3)))
+    ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(1, 3))]
+    sel = random_functional_matrix(rng, d, rng.randint(1, 3))
+    return new_instance(Semiring.RATIONAL, v, ts, sel)
+
+
+def test_packed_engine_takes_any_start_vector():
+    # a row action copies an entry or zeroes it, so the packed engine walks
+    # the support of any start vector; a dense transformation (the generic
+    # case) keeps the same selector on the generic engine
+    rng = random.Random(1901)
+    instances = [_support_instance(rng) for _ in range(60)]
+    entries = {e for inst in instances for e in inst.v}
+    assert 0 in entries and min(entries) < 0 and any(e.denominator > 1 for e in entries)
+    generic = new_instance(Semiring.RATIONAL, (1, 0), (DenseMatrix(((1, 1), (0, 1))),),
+                           DenseMatrix(((1, 0),)))
+    for inst in instances + [generic]:
+        assert isinstance(engine_for(inst), GenericEngine if inst is generic else PackedEngine)
+        ref = Reference(inst)
+        expected = ref.counts(4)
+        assert m_sequence(inst, 4).values == expected
+        assert m_sequence(inst, 4, method="brute").values == expected
+        for seq in product(range(inst.m), repeat=3):
+            assert check_sequence(inst, seq) == ref.accepts(seq)
+
+
+@pytest.mark.parametrize("semiring", list(Semiring))
+def test_engine_for_packs_exactly_the_row_action_instances(semiring):
+    rng = random.Random(f"packed-rule:{semiring.value}")
+    entry = ((lambda: rng.randint(0, 1)) if semiring is Semiring.GF2
+             else lambda: random_scalar(rng))
+    kinds = set()
+    for _ in range(60):
+        d = rng.randint(2, 5)
+
+        def matrix(rows):
+            # row actions, or dense rows with a row that row actions cannot hold
+            if rng.random() < 0.7:
+                return random_functional_matrix(rng, d, rows)
+            dense = [[entry() for _ in range(d)] for _ in range(rows)]
+            dense[0][:2] = [1, 1]
+            return DenseMatrix(dense)
+
+        inst = new_instance(semiring, [entry() for _ in range(d)],
+                            [matrix(d) for _ in range(rng.randint(1, 3))],
+                            matrix(rng.randint(1, 3)))
+        packed = all(isinstance(t, FunctionalMatrix)
+                     for t in (inst.selector, *inst.transformations))
         assert isinstance(engine_for(inst), PackedEngine if packed else GenericEngine)
+        kinds.add(packed)
+        assert m_sequence(inst, 3).values == Reference(inst).counts(3)
+    assert kinds == {True, False}
 
 
 def test_packed_encode_decode_round_trip():
@@ -500,13 +547,49 @@ def test_generic_steps_match_exact_products():
     assert check_sequence(halves, (0,)) and not check_sequence(halves, ())
 
 
+def test_generic_engine_scales_each_matrix_once(monkeypatch):
+    # one lcm each for the start vector, each dense transformation and the
+    # dense selector, whose rows share it
+    integral, calls = vest.evaluate._integral, []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return integral(rows)
+
+    monkeypatch.setattr(vest.evaluate, "_integral", counting)
+    inst = new_instance(
+        Semiring.RATIONAL, (Fraction(1, 2), 1),
+        (DenseMatrix(((Fraction(1, 3), 1), (0, 2))), FunctionalMatrix((1, None)),
+         DenseMatrix(((1, 1), (Fraction(1, 5), 0)))),
+        DenseMatrix(((Fraction(1, 2), 1), (1, Fraction(-1, 7)), (3, 1))))
+    engine = GenericEngine(inst)
+    assert sorted(calls) == [1, 2, 2, 3]
+    assert engine._selector == ((7, 14), (14, -2), (42, 14))
+    assert m_sequence(inst, 3).values == Reference(inst).counts(3)
+
+
 def _functional_rational_instance(rng):
     d = rng.randint(1, 5)
     v = [random_scalar(rng) for _ in range(d)]
     v[rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(3, 2)))
     ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(1, 3))]
-    sel = DenseMatrix(tuple(tuple(random_scalar(rng) for _ in range(d))
-                            for _ in range(rng.randint(1, 2))))
+    rows = [[random_scalar(rng) for _ in range(d)] for _ in range(rng.randint(1, 2))]
+    # an entry outside {0, 1} keeps the selector dense, so the instance stays
+    # on the generic engine and its steps read row actions (``_sources``)
+    rows[0][rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 2)))
+    return new_instance(Semiring.RATIONAL, v, ts, DenseMatrix(rows))
+
+
+def _dense_step_action_selector_instance(rng):
+    # a selector held as row actions (``_watched``) beside one dense
+    # transformation, which keeps the instance on the generic engine
+    d = rng.randint(2, 5)
+    v = [random_scalar(rng) for _ in range(d)]
+    dense = [[random_scalar(rng) for _ in range(d)] for _ in range(d)]
+    dense[0][0] = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 2)))
+    ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(0, 2))]
+    ts.insert(rng.randint(0, len(ts)), DenseMatrix(dense))
+    sel = random_functional_matrix(rng, d, rng.randint(1, 3))
     return new_instance(Semiring.RATIONAL, v, ts, sel)
 
 
@@ -534,13 +617,14 @@ def _mixed_denominator_instance(rng):
             for den in rng.sample((1, 2, 3, 5, 7), rows)))
 
     return new_instance(Semiring.RATIONAL, v, [matrix(d) for _ in range(rng.randint(1, 3))],
-                        matrix(1))
+                        matrix(rng.randint(1, 3)))
 
 
 GENERIC_FAMILIES = {
     # the instances of acceptance criterion 2, same seed
     "criterion-2": (random_rational_instance, 100),
     "functional-q": (_functional_rational_instance, 40),
+    "dense-step-action-selector": (_dense_step_action_selector_instance, 40),
     "functional-01-selector": (
         lambda rng: random_packed_instance(rng, rng.randint(2, 6), Semiring.RATIONAL, "generic"),
         40),
