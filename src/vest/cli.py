@@ -13,13 +13,15 @@ so does an input too large to allocate (``MemoryError``).
 
 Exit codes: 0 for success (ACCEPT, or every verification row matching),
 1 for a negative outcome (REJECT, or a verification mismatch), 2 for
-usage, input, or resource errors.
+usage, input, or resource errors. A library warning (a dropped self-loop)
+is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .core import Semiring, VestError
@@ -220,18 +222,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (VestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory: the input asks for more than can be allocated",
-              file=sys.stderr)
-        return 2
+    # a library warning is one "warning:" line, without the source location
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (VestError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory: the input asks for more than can be allocated",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -24,15 +24,15 @@ entry once (so JSON true and false read as 1 and 0), and holds a dense
 matrix of 0/1 entries with at most one 1 per row as row actions only, so
 a document of any version loads to the form that ``reduce_graph`` made.
 Only when it refuses an entry is the document searched for that entry,
-to name its place. Count-sequence and verification documents are at
-version 1.
+to name its place. Count-sequence and verification documents are
+outputs only, written at version 1; vest reads neither back.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .core import (
     DenseMatrix,
@@ -41,10 +41,9 @@ from .core import (
     Semiring,
     VestError,
     VestInstance,
-    instance_fingerprint,
     new_instance,
 )
-from .evaluate import METHODS, MSequenceResult
+from .evaluate import MSequenceResult
 from .reduction import VerificationReport
 
 INSTANCE_FORMAT = "vest-instance"
@@ -173,6 +172,8 @@ def instance_from_dict(data: dict) -> InstanceDocument:
         raise DocumentError(f"unknown semiring {sem_tag!r}") from None
 
     v = _require(data, "v", list, "document")
+    if not v:
+        raise DocumentError("v: the start vector is empty; it needs dimension >= 1")
     d = len(v)
     raw_ts = _require(data, "transformations", list, "document")
     if not raw_ts:
@@ -250,39 +251,6 @@ def msequence_to_dict(result: MSequenceResult) -> dict:
             {"k": k, "m_k": str(val)} for k, val in enumerate(result.values)
         ],
     }
-
-
-def msequence_from_dict(data: dict) -> MSequenceResult:
-    if not isinstance(data, dict):
-        raise DocumentError("document root must be a JSON object")
-    fmt = _require(data, "format", str, "document")
-    if fmt != MSEQUENCE_FORMAT:
-        raise DocumentError(f"not a count-sequence document: format is {fmt!r}")
-    version = _require(data, "version", int, "document")
-    if version != FORMAT_VERSION:
-        raise DocumentError(f"unsupported document version {version}")
-    fingerprint = _require(data, "instance", str, "document")
-    method = _require(data, "method", str, "document")
-    if method not in METHODS:
-        raise DocumentError(f"unknown method {method!r}")
-    raw_values = _require(data, "values", list, "document")
-    if not raw_values:
-        raise DocumentError("values: expected at least one count")
-    values: List[Optional[int]] = [None] * len(raw_values)
-    for i, item in enumerate(raw_values):
-        if not isinstance(item, dict):
-            raise DocumentError(f"values[{i}]: expected an object")
-        k = _require(item, "k", int, f"values[{i}]")
-        raw = _require(item, "m_k", str, f"values[{i}]")
-        if not 0 <= k < len(raw_values):
-            raise DocumentError(f"values[{i}]: k={k} outside 0..{len(raw_values) - 1}")
-        if values[k] is not None:
-            raise DocumentError(f"values[{i}]: duplicate k={k}")
-        try:
-            values[k] = int(raw)
-        except ValueError:
-            raise DocumentError(f"values[{i}]: m_k {raw!r} is not a decimal integer") from None
-    return MSequenceResult(fingerprint, method, tuple(values))
 
 
 def verification_to_dict(report: VerificationReport) -> dict:

@@ -53,9 +53,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple
 
 from .core import (
     FunctionalMatrix,
@@ -558,46 +558,29 @@ def m_k_dedup(instance: VestInstance, k: int) -> int:
     return last
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class MSequenceResult:
-    """Counts M_0..M_k_max for one instance, tagged with how they were made.
+    """Counts M_0..M_k_max of the counted ``instance``, which the result
+    keeps alive, tagged with the method that made them.
 
-    A result keeps what it was built from: the counted ``VestInstance``
-    (``m_sequence``), which it keeps alive, or the digest string of a
-    count-sequence document (``msequence_from_dict``). Counting never
-    hashes: ``instance_fingerprint`` hashes the instance on its first read,
+    Results compare and hash as plain dataclasses: by instance content,
+    method and values. Counting, comparing and printing never compute the
+    digest: ``instance_fingerprint`` hashes the instance on its first read,
     through ``core.instance_fingerprint``, which keeps the digest on the
-    instance. Results compare and hash by (digest, method, values), so
-    equality may hash.
+    instance.
     """
 
-    _source: Union[str, VestInstance]
+    instance: VestInstance = field(repr=False)
     method: str
     values: Tuple[int, ...]
 
     @property
     def instance_fingerprint(self) -> str:
-        source = self._source
-        return source if isinstance(source, str) else instance_fingerprint(source)
+        return instance_fingerprint(self.instance)
 
     @property
     def k_max(self) -> int:
         return len(self.values) - 1
-
-    def _key(self) -> Tuple[str, str, Tuple[int, ...]]:
-        return self.instance_fingerprint, self.method, self.values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MSequenceResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"MSequenceResult(instance_fingerprint={self.instance_fingerprint!r}, "
-                f"method={self.method!r}, values={self.values!r})")
 
 
 def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterator[int]:

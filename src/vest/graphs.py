@@ -195,7 +195,8 @@ def parse_edgelist(text: str) -> Graph:
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS graph format: 'c' comments, one 'p edge n m' line, and
     'e u v' edge lines with 1-based endpoints. The number of edge lines must
-    match the header's m exactly."""
+    match the header's m exactly; a self-loop line counts toward it and is
+    dropped with a warning that names the vertex as the file writes it."""
     n = None
     declared = 0
     edge_lines = 0
@@ -230,7 +231,10 @@ def parse_dimacs(text: str) -> Graph:
             if not 1 <= u <= n or not 1 <= v <= n:
                 raise GraphSyntaxError(f"endpoint outside [1, {n}] in {line!r}", lineno)
             edge_lines += 1
-            edges.append((u - 1, v - 1))
+            if u == v:
+                warnings.warn(f"ignoring self-loop at vertex {u}", stacklevel=2)
+            else:
+                edges.append((u - 1, v - 1))
         else:
             raise GraphSyntaxError(f"unrecognized line type {parts[0]!r}", lineno)
     if n is None:

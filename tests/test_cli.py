@@ -37,7 +37,7 @@ def p3_instance(tmp_path, p3_file):
 
 
 def test_reduce_writes_a_loadable_document(p3_instance, capsys):
-    doc = loads_instance(open(p3_instance).read())
+    doc = loads_instance(Path(p3_instance).read_text())
     assert doc.instance.d == 10 and doc.instance.m == 3 and doc.instance.h == 6
     assert doc.metadata["source_vertices"] == 3
     assert doc.metadata["source_edges"] == 2
@@ -184,6 +184,19 @@ def test_domsets_from_stdin(capsys, monkeypatch):
     assert capsys.readouterr().out.strip() == "D_1 = 1"
 
 
+# a self-loop at the file's vertex 1, then the edge between the two vertices
+SELF_LOOP_GRAPHS = {"dimacs": "p edge 2 2\ne 1 1\ne 1 2\n", "edgelist": "2 2\n1 1\n0 1\n"}
+
+
+@pytest.mark.parametrize("fmt", SELF_LOOP_GRAPHS)
+def test_graph_warnings_are_one_line_naming_the_file_vertex(fmt, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(SELF_LOOP_GRAPHS[fmt]))
+    assert main(["domsets", "--format", fmt, "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "D_1 = 2\n"
+    assert captured.err == "warning: ignoring self-loop at vertex 1\n"
+
+
 def test_verify_passes_on_sound_compilation(p3_file, capsys):
     assert main(["verify", "-i", p3_file, "--kmax", "3"]) == 0
     out = capsys.readouterr().out
@@ -304,7 +317,7 @@ def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def _bad_instance_documents(good_path, tmp_path):
-    good = json.loads(open(good_path).read())
+    good = json.loads(Path(good_path).read_text())
     d, actions = good["d"], good["selector"]["actions"]
     broken = {
         "deep": "[" * 100000,

@@ -39,8 +39,7 @@ from vest import (
     new_instance,
     reduce_graph,
 )
-from vest.documents import (InstanceDocument, dumps_instance, loads_instance,
-                            msequence_from_dict, msequence_to_dict)
+from vest.documents import InstanceDocument, dumps_instance, loads_instance, msequence_to_dict
 from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, StateDistribution,
                            check_brute_bound, engine_for)
 
@@ -711,16 +710,28 @@ def test_first_read_of_the_digest_hashes_once(monkeypatch):
     assert len(hashed) == 1
 
 
-def test_document_result_equals_the_counted_result():
+def test_results_compare_by_instance_method_and_values():
     counted = m_sequence(reduce_graph(path_graph(3)).instance, 2, "brute")
-    from_digest = MSequenceResult("c856d5a204b55949", "brute", (0, 1, 6))
-    assert counted == from_digest and from_digest == counted
-    assert hash(counted) == hash(from_digest)
-    assert msequence_from_dict(msequence_to_dict(counted)) == counted
-    assert counted != MSequenceResult("c856d5a204b55948", "brute", (0, 1, 6))
-    assert counted != MSequenceResult("c856d5a204b55949", "dedup", (0, 1, 6))
+    again = m_sequence(reduce_graph(path_graph(3)).instance, 2, "brute")
+    assert counted.instance is not again.instance
+    assert counted == again and hash(counted) == hash(again)
+    assert counted != MSequenceResult(counted.instance, "dedup", counted.values)
+    assert counted != MSequenceResult(counted.instance, "brute", (0, 1, 7))
+    # the rational compile of the same graph has the same counts
+    rational = m_sequence(reduce_graph(path_graph(3), Semiring.RATIONAL).instance, 2, "brute")
+    assert rational.values == counted.values and rational != counted
     with pytest.raises(dataclasses.FrozenInstanceError):
         counted.method = "dedup"
+
+
+def test_printing_and_comparing_a_result_hash_nothing(monkeypatch):
+    hashed = count_hashes(monkeypatch)
+    inst = reduce_graph(path_graph(3)).instance
+    result = m_sequence(inst, 2)
+    assert repr(result) == "MSequenceResult(method='dedup', values=(0, 1, 6))"
+    assert result == m_sequence(reduce_graph(path_graph(3)).instance, 2)
+    assert len({result, m_sequence(inst, 2)}) == 1
+    assert hashed == [] and inst._fingerprint is None
 
 
 def test_replaced_copy_gets_its_own_digest_on_first_read(monkeypatch):
@@ -740,7 +751,8 @@ def test_replaced_instance_gets_a_fresh_engine():
     # and its own digest
     inst = reduce_graph(path_graph(3)).instance
     engine = engine_for(inst)
-    assert m_sequence(inst, 2) == MSequenceResult("c856d5a204b55949", "dedup", (0, 1, 6))
+    expected = m_sequence(reduce_graph(path_graph(3)).instance, 2)
+    assert expected.values == (0, 1, 6) and m_sequence(inst, 2) == expected
     corrupt = dataclasses.replace(inst, v=(inst.semiring.zero,) + inst.v[1:])
     assert engine_for(corrupt) is not engine
     result = m_sequence(corrupt, 2)

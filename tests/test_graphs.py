@@ -225,6 +225,15 @@ def test_parse_dimacs_header_must_match_edge_lines():
     assert g.edge_count == 1
 
 
+def test_parse_dimacs_names_a_self_loop_by_its_file_vertex():
+    with pytest.warns(UserWarning, match="^ignoring self-loop at vertex 1$"):
+        g = parse_dimacs("p edge 2 2\ne 1 1\ne 1 2\n")
+    assert g == Graph.from_edges(2, [(0, 1)])
+    # the dropped line still counts against the declared edge count
+    with pytest.warns(UserWarning), pytest.raises(InconsistentHeader):
+        parse_dimacs("p edge 2 1\ne 2 2\ne 1 2\n")
+
+
 def test_parse_dimacs_errors():
     with pytest.raises(GraphSyntaxError) as err:
         parse_dimacs("e 1 2\np edge 2 1\n")
