@@ -179,9 +179,10 @@ class FunctionalMatrix:
     ``repr`` ignore it; it is derived from the actions.
 
     Every action must be None or an int in ``[0, ncols)``, whichever row
-    it sits in: an int-like such as a numpy integer is stored as its int; a
-    bool or float raises ``TypeError``, as the document loader refuses
-    them; an int out of range raises ``DimensionMismatch``. The
+    it sits in, and *ncols* an int of at least 1: an int-like such as a
+    numpy integer is stored as its int; a bool or float raises
+    ``TypeError``, as the document loader refuses them; an int out of
+    range, or *ncols* below 1, raises ``DimensionMismatch``. The
     constructor finds the moved rows in the one pass it makes over the
     actions, and type- and range-checks those alone: a row that holds its
     own index as the very int object is fixed and costs one identity test.
@@ -195,7 +196,9 @@ class FunctionalMatrix:
         r = len(acts)
         if not r:
             raise DimensionMismatch("matrix must have at least one row")
-        c = r if ncols is None else ncols
+        c = r if ncols is None else _as_int(ncols, "column count {!r} is not an int")
+        if c < 1:
+            raise DimensionMismatch(f"column count {c} is below 1")
         stored = acts
         moved = []
         for i, j in enumerate(acts):
@@ -205,7 +208,7 @@ class FunctionalMatrix:
             if j is not i:
                 if j is not None:
                     if type(j) is not int:
-                        j = _int_action(j)
+                        j = _as_int(j, "row action {!r} is not an int or None")
                         if stored is acts:
                             stored = list(acts)
                         stored[i] = j
@@ -256,16 +259,16 @@ class FunctionalMatrix:
         return f"FunctionalMatrix({self.nrows}x{self.ncols})"
 
 
-def _int_action(j) -> int:
-    """Row action *j*, not of type int, as an int: an int-like is taken by
-    ``operator.index``; a bool, float or anything else raises
-    ``TypeError``."""
-    if isinstance(j, bool):
-        raise TypeError(f"row action {j!r} is not an int or None")
-    try:
-        return operator.index(j)
-    except TypeError:
-        raise TypeError(f"row action {j!r} is not an int or None") from None
+def _as_int(j, refusal: str) -> int:
+    """*j* as an int: an int or int-like is taken by ``operator.index``; a
+    bool, float or anything else raises ``TypeError`` with *refusal*,
+    formatted with ``repr(j)``."""
+    if not isinstance(j, bool):
+        try:
+            return operator.index(j)
+        except TypeError:
+            pass
+    raise TypeError(refusal.format(j))
 
 
 Matrix = Union[DenseMatrix, FunctionalMatrix]

@@ -8,17 +8,16 @@ Three evaluation modes share one state-walking core:
   prefixes via an explicit stack) and counts the annihilated ones.
 * ``dedup_levels`` walks levels of state distributions, merging sequences
   that reach the same vector, so the cost scales with distinct states
-  rather than with m**k. Each engine counts the levels of its own
-  states: its ``advance`` makes one level from the last, its
-  ``annihilated_mass`` counts the mass of a level's accepted states, and
-  its ``accepted_mass`` counts the accepted successors of a level without
-  making them. ``m_counts`` (and ``m_sequence`` and ``m_k_dedup`` on top
-  of it) builds levels up to k_max - 1 only and counts the last through
+  rather than with m**k. Each engine's ``advance`` makes one level from
+  the last, with the mass that died on the way, its ``annihilated_mass``
+  counts a level's accepted mass, and its ``accepted_mass`` counts the
+  accepted successors of a level without making them. ``m_counts`` builds
+  levels up to k_max - 1 only and counts the last through
   ``accepted_mass``, so the last level, most of the states on a compiled
-  instance, is never stored, and the dedup state cap covers only the
-  levels built. These per-state kernels are plain nested loops: on
-  CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x faster as
-  loops than written with ``sum``, ``any`` or ``map`` over bound methods.
+  instance, is never stored, and stops at the first level with no live
+  state: every count past it is 0. These per-state kernels are plain
+  loops: on CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x
+  faster as loops than with ``sum``, ``any`` or ``map`` over bound methods.
 
 Instances with every matrix held as row actions (``FunctionalMatrix``),
 the selector included, run on a packed engine that stores each vector's
@@ -31,9 +30,9 @@ move together: a step is one masked shift per shift group. A selector row
 that copies bit j is nonzero exactly when bit j is set, so the selector is
 one union mask. Its ``advance`` also absorbs dead states, those that no
 extension can make accepted because a selected bit can never clear (in a
-compiled instance: a vertex chosen twice); they merge into one dead
-representative. Its ``accepted_mass`` tests each state against the union
-mask pulled back through each transformation (one preimage mask per
+compiled instance: a vertex chosen twice): they leave the level, and only
+their mass is counted. Its ``accepted_mass`` tests each state against the
+union mask pulled back through each transformation (one preimage mask per
 transformation), one AND per successor. Every other instance, a dense
 selector included, runs on a generic engine over tuples of ints, scaled
 once from its rationals. Both engines produce identical counts; the packed
@@ -54,7 +53,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .core import (
@@ -107,10 +106,9 @@ class GenericEngine:
     __slots__ = ("_initial", "_rows", "_sources", "_selector", "_watched", "_mask")
 
     def __init__(self, instance: VestInstance):
-        gf2 = instance.semiring is Semiring.GF2
         # GF(2) entries are already ints; tuple() of a tuple is that tuple
-        integral = tuple if gf2 else _integral
-        self._mask = 1 if gf2 else -1
+        gf2 = instance.semiring is Semiring.GF2
+        integral, self._mask = (tuple, 1) if gf2 else (_integral, -1)
         self._initial = integral((instance.v,))[0]
         # a transformation held as row actions copies entries: row i reads
         # entry sources[i], and a zero row reads the 0 that step appends at -1
@@ -147,16 +145,17 @@ class GenericEngine:
                 return False
         return True
 
-    def advance(self, dist: Dict) -> Dict:
-        """The next dedup level: every transformation applied to every state
-        of *dist* (state -> multiplicity), collisions summed."""
+    def advance(self, dist: Dict) -> Tuple[Dict, int]:
+        """The next dedup level and its dead mass, always 0 here: every
+        transformation applied to every state of *dist* (state ->
+        multiplicity), collisions summed."""
         step, transformations = self.step, range(len(self._rows))
         nxt: Dict = {}
         for state, mult in dist.items():
             for t in transformations:
                 succ = step(t, state)
                 nxt[succ] = nxt.get(succ, 0) + mult
-        return nxt
+        return nxt, 0
 
     def annihilated_mass(self, dist: Dict) -> int:
         """Total multiplicity of the states of *dist* (state ->
@@ -222,9 +221,10 @@ class PackedEngine:
 
     A union-mask bit whose closure under every action holds no ``None``
     (``_closures``) can never clear once that whole closure is set, so
-    ``advance`` maps every such successor to one dead representative and
-    steps it no further. The closures are built on the first ``advance``,
-    so building an engine and checking sequences never pay for them.
+    ``advance`` drops every such successor and returns its mass as dead
+    mass: on a compiled graph level j keeps exactly C(n, j) live states.
+    The closures are built on the first ``advance``, so building an engine
+    and checking sequences never pay for them.
     """
 
     __slots__ = ("_plans", "_initial", "_union_mask", "_actions", "_absorbing",
@@ -275,9 +275,9 @@ class PackedEngine:
                 mass += mult
         return mass
 
-    def _closures(self) -> Tuple[int, Dict[int, int], int]:
+    def _closures(self) -> Tuple[int, Dict[int, int]]:
         """Absorbing closures of the selector's union-mask bits, as (sticky,
-        closures, dead).
+        closures).
 
         The closure C(i) of bit i is the smallest set of bits that holds i
         and ``action_t[j]`` for every transformation t and every j in it. It
@@ -285,9 +285,7 @@ class PackedEngine:
         every bit of C(i) set keeps them all set through any step, bit i
         never clears, and no extension of the state is accepted.
         ``closures`` maps bit i (as ``1 << i``) to the mask of C(i);
-        ``sticky`` is the mask of those bits; ``dead`` is the first closure,
-        a real dead state that stands for all of them (-1, never a state,
-        when there is none)."""
+        ``sticky`` is the mask of those bits (0 when there is none)."""
         plans, full = self._plans, (1 << len(self._actions[0])) - 1
         # leaky: the rows whose closure reaches None. First the zero rows,
         # which some transformation neither keeps nor copies into: the
@@ -326,29 +324,26 @@ class PackedEngine:
                     todo.extend(reach - seen)
                     seen |= reach
             closures[low] = sum(1 << j for j in seen)
-        sticky = sum(closures)
-        return sticky, closures, closures[sticky & -sticky] if sticky else -1
+        return sum(closures), closures
 
-    def advance(self, dist: Dict) -> Dict:
-        """The next dedup level: every transformation applied to every state
-        of *dist* (state -> multiplicity), collisions summed. Every
-        successor that holds all of some absorbing closure is dead and
-        merges into one dead representative; the representative itself is
-        not stepped, its mass is multiplied by m.
+    def advance(self, dist: Dict) -> Tuple[Dict, int]:
+        """The next dedup level and the mass that died on the way: every
+        transformation applied to every state of *dist* (state ->
+        multiplicity), collisions summed. A successor that holds all of
+        some absorbing closure is dead: it is not stored, and its
+        multiplicity is added to the dead mass instead.
 
         The body of ``step`` runs inline: a call per successor made the
         compiled-dedup benchmark's ``solve_s`` 8% slower (10 of 10
         alternating pairs of 40 s runs, 2 vCPU, Python 3.11)."""
         if self._absorbing is None:
             self._absorbing = self._closures()
-        sticky, closures, dead = self._absorbing
+        sticky, closures = self._absorbing
         plans = self._plans
         nxt: Dict = {}
         get = nxt.get
-        dead_mass = dist.get(dead, 0) * len(plans)
+        dead_mass = 0
         for state, mult in dist.items():
-            if state == dead:
-                continue
             for fixed, lefts, rights in plans:
                 out = state & fixed
                 for mask, shift in lefts:
@@ -365,9 +360,7 @@ class PackedEngine:
                     dead_mass += mult
                 else:
                     nxt[out] = get(out, 0) + mult
-        if dead_mass:
-            nxt[dead] = dead_mass
-        return nxt
+        return nxt, dead_mass
 
     def _pull_back(self) -> Tuple[int, ...]:
         """The union mask pulled back through each transformation t:
@@ -390,9 +383,7 @@ class PackedEngine:
     def accepted_mass(self, dist: Dict) -> int:
         """Total multiplicity of the accepted one-step successors of *dist*
         (state -> multiplicity), counted without making them: through the
-        selector's preimages (``_pull_back``), built on the first call. The
-        dead representative needs no special case: its closure stays set
-        through every step, so no successor of it is accepted."""
+        selector's preimages (``_pull_back``), built on the first call."""
         if self._preimages is None:
             self._preimages = self._pull_back()
         preimages = self._preimages
@@ -487,23 +478,23 @@ def m_k_bruteforce(instance: VestInstance, k: int) -> int:
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """Multiset of states reached after ``level`` steps: state -> number of
-    index sequences reaching it. States are engine-internal: packed ints on
-    the packed engine, int tuples on the generic one. Over the rationals a
-    generic state is a positive multiple of the exact vector, so states
-    that are multiples of each other may stay apart; counts are exact
-    either way. On the packed engine, the dead states past level 0 that
-    ``PackedEngine`` detects (no extension of them is accepted) merge into
-    one dead representative, itself such a state, so annihilated mass and
-    the level total, ``m**level``, need no special case. ``m_counts``
-    makes one for every level but the last it counts: that one is counted
-    through the engine's ``accepted_mass`` and never stored."""
+    """Multiset of the live states reached after ``level`` steps: state ->
+    number of index sequences reaching it, and ``dead``, the number that
+    reached a dead state (one ``PackedEngine`` tells dead: no extension of
+    it is accepted), so the total is ``m**level``. States are
+    engine-internal: packed ints on the packed engine, int tuples on the
+    generic one. Over the rationals a generic state is a positive multiple
+    of the exact vector, so states that are multiples of each other may
+    stay apart; counts are exact either way. ``m_counts`` makes one for
+    every level but the last it counts: that one is counted through the
+    engine's ``accepted_mass`` and never stored."""
 
     level: int
     entries: Dict
+    dead: int = 0
 
     def total(self) -> int:
-        return sum(self.entries.values())
+        return sum(self.entries.values()) + self.dead
 
 
 def _check_dedup_length(k_max: int) -> None:
@@ -517,32 +508,33 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     """Yield state distributions for levels 0..k_max.
 
     Level 0 is the start vector with multiplicity 1; level j+1 is the
-    engine's ``advance`` of level j: every transformation applied to every
-    distinct state, multiplicities of collisions summed. Deterministic:
-    iteration order never affects the result. A negative *k_max* or one
-    above ``DEFAULT_DEDUP_CAP`` is refused at call time; a level of more
-    than ``DEFAULT_DEDUP_CAP`` distinct states raises ``ResourceBound``
-    once it is made. The state test covers only the levels built here, so
-    not the last level ``m_counts`` counts, which is never built. It is a
-    backstop, not a memory bound: a level that large needs many GB, which
-    memory normally runs out of first.
+    engine's ``advance`` of level j, whose dead mass is m times that of
+    level j plus the mass that died in the step. Deterministic: iteration
+    order never affects the result. A negative *k_max* or one above
+    ``DEFAULT_DEDUP_CAP`` is refused at call time; a level of more than
+    ``DEFAULT_DEDUP_CAP`` distinct states raises ``ResourceBound`` once it
+    is made. The state test covers only the levels built here, so not the
+    last level ``m_counts`` counts, which is never built. It is a backstop,
+    not a memory bound: a level that large needs many GB, which memory
+    normally runs out of first.
     """
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     _check_dedup_length(k_max)
-    return _levels(engine_for(instance), k_max)
+    return _levels(engine_for(instance), instance.m, k_max)
 
 
-def _levels(engine, k_max: int) -> Iterator[StateDistribution]:
-    dist = {engine.initial(): 1}
+def _levels(engine, m: int, k_max: int) -> Iterator[StateDistribution]:
+    dist, dead = {engine.initial(): 1}, 0
     for level in range(k_max + 1):
         if level:
-            dist = engine.advance(dist)
+            dist, died = engine.advance(dist)
+            dead = dead * m + died
         if len(dist) > DEFAULT_DEDUP_CAP:
             raise ResourceBound(
                 f"dedup level {level} holds {len(dist)} distinct states, "
                 f"above the cap of {DEFAULT_DEDUP_CAP}")
-        yield StateDistribution(level, dist)
+        yield StateDistribution(level, dist, dead)
 
 
 def annihilated_mass(instance: VestInstance, dist: StateDistribution) -> int:
@@ -586,15 +578,16 @@ class MSequenceResult:
 def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterator[int]:
     """M_0..M_k_max, one per ``next``.
 
-    "dedup" yields the annihilated mass of each level of ``dedup_levels``
-    up to k_max - 1, then counts M_k_max from level k_max - 1 through the
-    engine's ``accepted_mass``, without building level k_max; the
-    per-level state cap therefore covers levels 0..k_max - 1 only. "brute"
-    yields ``m_k_bruteforce`` for each length. A negative *k_max* or an
-    unknown method is refused here, at call time, before any count is
-    made; so is a *k_max* above the dedup cap for "dedup", and one whose
-    brute force passes the brute-force cap (``check_brute_bound``) for
-    "brute"."""
+    "dedup" yields the annihilated mass of each level of ``dedup_levels`` up
+    to k_max - 1, then counts M_k_max from level k_max - 1 through the
+    engine's ``accepted_mass``, without building level k_max; the per-level
+    state cap therefore covers levels 0..k_max - 1 only. At the first level
+    with no live state it yields 0 for every remaining length: no extension
+    of a dead state is accepted. "brute" yields ``m_k_bruteforce`` for each
+    length. A negative *k_max* or an unknown method is refused here, at call
+    time, before any count is made; so is a *k_max* above the dedup cap for
+    "dedup", and one whose brute force passes the brute-force cap
+    (``check_brute_bound``) for "brute"."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == DEDUP:
@@ -609,6 +602,9 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
 def _dedup_counts(instance: VestInstance, levels: Iterator[StateDistribution],
                   k_max: int) -> Iterator[int]:
     for last in levels:
+        if not last.entries:
+            yield from repeat(0, k_max + 1 - last.level)
+            return
         yield annihilated_mass(instance, last)
     if k_max:
         yield engine_for(instance).accepted_mass(last.entries)

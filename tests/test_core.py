@@ -196,6 +196,19 @@ def test_functional_matrix_with_a_column_count():
         to_functional(f)
 
 
+def test_functional_matrix_column_count_is_an_int_of_at_least_one():
+    # refused as row actions are refused, and as DenseMatrix refuses zero
+    # columns; an int-like is stored as its int
+    for ncols in (2.5, True, False, "2", Fraction(2)):
+        with pytest.raises(TypeError, match="column count"):
+            FunctionalMatrix((0,), ncols)
+    for actions, ncols in (((None,), -1), ((None,), 0), ((0,), 0)):
+        with pytest.raises(DimensionMismatch, match="column count"):
+            FunctionalMatrix(actions, ncols)
+    f = FunctionalMatrix((0,), Row.C)
+    assert f.ncols == 2 and type(f.ncols) is int
+
+
 def test_functional_matrices_of_different_widths_differ():
     narrow, wide = FunctionalMatrix((0, 1), 3), FunctionalMatrix((0, 1), 4)
     assert narrow != wide and wide != narrow

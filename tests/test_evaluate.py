@@ -847,7 +847,7 @@ def _generic_level_sizes(inst, k_max):
     engine = GenericEngine(inst)
     dist, sizes = {engine.initial(): 1}, [1]
     for _ in range(k_max):
-        dist = engine.advance(dist)
+        dist, _ = engine.advance(dist)
         sizes.append(len(dist))
     return sizes
 
@@ -863,8 +863,10 @@ def test_absorbing_dedup_matches_brute_force_and_dominating_sets(semiring):
         levels = list(dedup_levels(inst, k_max))
         for j, dist in enumerate(levels):
             assert dist.total() == n ** j
-            # live states are the j-subsets of chosen vertices, plus one dead
-            assert len(dist.entries) <= math.comb(n, j) + 1
+            # live states are the j-subsets of chosen vertices; every
+            # sequence that repeats a vertex is dead
+            assert len(dist.entries) == math.comb(n, j)
+            assert dist.dead == n ** j - math.perm(n, j)
         counts = tuple(annihilated_mass(inst, dist) for dist in levels)
         assert counts == tuple(math.factorial(k) * naive_dominating_count(n, edges, k)
                                for k in range(k_max + 1))
@@ -951,13 +953,14 @@ def test_parity_selector_counts_match_reference_and_brute_force():
 
 def test_dead_start_vector_stays_level_zero():
     # the start vector already holds the closure {0, 1} of selected bit 0:
-    # level 0 is still the start vector; after it, one dead representative
+    # level 0 is still the start vector; after it, every state is dead
     inst = new_instance(Semiring.GF2, (1, 1, 0),
                         (FunctionalMatrix((1, 0, None)), FunctionalMatrix((0, 1, 0))),
                         DenseMatrix(((1, 0, 0),)))
     levels = list(dedup_levels(inst, 3))
     assert levels[0].entries == {engine_for(inst).initial(): 1}
-    assert [dist.entries for dist in levels[1:]] == [{0b11: 2}, {0b11: 4}, {0b11: 8}]
+    assert levels[0].dead == 0
+    assert [(dist.entries, dist.dead) for dist in levels[1:]] == [({}, 2), ({}, 4), ({}, 8)]
     assert next(dedup_levels(inst, 0)).entries == {0b011: 1}
     assert m_sequence(inst, 3).values == (0, 0, 0, 0)
 
@@ -1026,10 +1029,10 @@ def test_accepted_mass_matches_the_built_next_level():
             if level == k_max:
                 break
             for pos, (engine, dist) in enumerate(zip(engines, dists)):
-                nxt = engine.advance(dist)
+                nxt, _ = engine.advance(dist)
                 assert engine.accepted_mass(dist) == engine.annihilated_mass(nxt)
                 dists[pos] = nxt
-            # the packed level merged dead states into one representative
+            # the packed level dropped dead states
             seen["dead"] += len(dists[0]) < len(dists[1])
         brute = tuple(m_k_bruteforce(inst, k) for k in range(k_max + 1))
         assert m_sequence(inst, k_max).values == brute
@@ -1056,13 +1059,17 @@ def test_m_counts_builds_levels_up_to_k_max_minus_one(monkeypatch):
     for inst in (K1, reduce_graph(cycle_graph(4)).instance, _same_source_instance(),
                  random_rational_instance(random.Random(3))):
         expected = Reference(inst).counts(3)
+        # K1's level 2 holds no live state; the other levels here all do
+        dead_at = next((dist.level for dist in dedup_levels(inst, 3) if not dist.entries), 4)
         for k_max in range(4):
             calls.clear()
             assert tuple(m_counts(inst, k_max)) == expected[:k_max + 1]
             # k_max = 0 reads level 0 alone; otherwise levels 1..k_max-1
-            # are built and level k_max is counted from the one before
+            # are built and level k_max is counted from the one before,
+            # unless a built level holds no live state: the count stops there
             names = [name for name, _ in calls]
-            assert names == ["advance"] * max(k_max - 1, 0) + ["accepted_mass"] * (k_max > 0)
+            assert names == (["advance"] * min(max(k_max - 1, 0), dead_at)
+                             + ["accepted_mass"] * (0 < k_max <= dead_at))
 
 
 def test_m_counts_refuses_lengths_past_the_dedup_cap_at_call_time(monkeypatch):
@@ -1078,15 +1085,27 @@ def test_m_counts_refuses_lengths_past_the_dedup_cap_at_call_time(monkeypatch):
         m_counts(K1, 4)
     with pytest.raises(ResourceBound):
         m_k_dedup(K1, 4)
-    assert calls == [("advance", 1), ("advance", 1), ("accepted_mass", 1)]
+    assert calls == [("advance", 1), ("advance", 1)]
+
+
+def test_m_counts_stops_at_the_first_level_with_no_live_state():
+    # past level 3 every sequence over the compiled 3-vertex path repeats a
+    # vertex: the count stops at level 4 and yields 0 for every longer length
+    inst = reduce_graph(path_graph(3)).instance
+    start = time.perf_counter()
+    counts = tuple(m_counts(inst, 10**6))
+    assert time.perf_counter() - start < 2.0
+    assert len(counts) == 10**6 + 1
+    assert counts[:6] == (0, 1, 6, 6, 0, 0)
+    assert not any(counts[4:])
 
 
 def test_dedup_state_cap_covers_only_the_levels_built(monkeypatch):
-    # levels 0..2 of the compiled 4-cycle hold 1, 4 and 7 states: M_2 is
+    # levels 0..2 of the compiled 4-cycle hold 1, 4 and 6 states: M_2 is
     # counted from level 1, so a cap of 4 states lets it through
     inst = reduce_graph(cycle_graph(4)).instance
     sizes = [len(dist.entries) for dist in dedup_levels(inst, 2)]
-    assert sizes == [1, 4, 7]
+    assert sizes == [1, 4, 6]
     expected = tuple(m_counts(inst, 2))
     monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", 4)
     assert tuple(m_counts(inst, 2)) == expected
@@ -1124,7 +1143,7 @@ def _generic_counts(instance, k_max):
     level, counts = {engine.initial(): 1}, []
     for k in range(k_max + 1):
         if k:
-            level = engine.advance(level)
+            level, _ = engine.advance(level)
         counts.append(sum(mult for state, mult in level.items() if engine.annihilates(state)))
     return tuple(counts)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -180,6 +181,16 @@ def test_run_verification_on_a_path():
     assert report.all_pass
     assert (report.vertex_count, report.edge_count) == (3, 2)
     assert report.semiring is Semiring.GF2 and report.evaluator == "dedup"
+
+
+def test_run_verification_is_fast_where_no_dominating_set_exists():
+    # past k = 3 every D_k of the path is 0 and so is every M_k: no k! is
+    # computed for them, and the dedup count stops at its first dead level
+    start = time.perf_counter()
+    report = run_verification(path_graph(3), 8000)
+    assert time.perf_counter() - start < 1.0
+    assert report.all_pass and len(report.rows) == 8001
+    assert [row.expected for row in report.rows[:5]] == [0, 1, 6, 6, 0]
 
 
 def test_run_verification_evaluators_agree():
