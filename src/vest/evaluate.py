@@ -28,18 +28,18 @@ that tests this rule. Row i of a functional transformation copies bit
 ``action[i]`` to bit i, so rows that share the shift ``i - action[i]``
 move together: a step is one masked shift per shift group. A selector row
 that copies bit j is nonzero exactly when bit j is set, so the selector is
-one union mask. Its ``advance`` also absorbs dead states, those that no
-extension can make accepted because a selected bit can never clear (in a
-compiled instance: a vertex chosen twice): they leave the level, and only
-their mass is counted. Its ``accepted_mass`` tests each state against the
-union mask pulled back through each transformation (one preimage mask per
-transformation), one AND per successor. Every other instance, a dense
-selector included, runs on a generic engine over tuples of ints, scaled
-once from its rationals. Both engines produce identical counts; the packed
-one is just faster. ``engine_for`` builds an instance's engine once and
-keeps it on the instance, so every evaluation of that instance shares it.
-``check_sequence`` and ``m_k_bruteforce`` absorb nothing, so brute force
-checks the absorption of dedup.
+one union mask. A selected row is absorbing when its closure reaches no
+zero row; a state that holds that whole closure keeps the row nonzero (in
+a compiled instance: a vertex chosen twice), so no extension of it is
+accepted: ``advance`` drops it and counts only its mass. ``accepted_mass``
+tests each state against the union mask pulled back through each
+transformation (one preimage mask each), one AND per successor. Every
+other instance, a dense selector included, runs on a generic engine over
+tuples of ints, scaled once from its rationals. Both engines produce
+identical counts; the packed one is just faster. ``engine_for`` builds an
+instance's engine once and keeps it on the instance, so every evaluation
+of that instance shares it. ``check_sequence`` and ``m_k_bruteforce``
+absorb nothing, so brute force checks the absorption of dedup.
 
 Each enumeration has one cap, a module constant read when the enumeration
 is asked for, never an argument: ``DEFAULT_BRUTE_CAP`` (sequences of one
@@ -219,8 +219,8 @@ class PackedEngine:
     instance, one with a dense transformation or a dense selector, raises
     ``ValueError``, and ``engine_for`` gives it a ``GenericEngine``.
 
-    A union-mask bit whose closure under every action holds no ``None``
-    (``_closures``) can never clear once that whole closure is set, so
+    A selected row is absorbing when its closure reaches no zero row
+    (``_closures``): it can never clear once that whole closure is set, so
     ``advance`` drops every such successor and returns its mass as dead
     mass: on a compiled graph level j keeps exactly C(n, j) live states.
     The closures are built on the first ``advance``, so building an engine
@@ -276,54 +276,44 @@ class PackedEngine:
         return mass
 
     def _closures(self) -> Tuple[int, Dict[int, int]]:
-        """Absorbing closures of the selector's union-mask bits, as (sticky,
-        closures).
+        """Closures of the selector's absorbing rows, as (sticky, closures).
 
-        The closure C(i) of bit i is the smallest set of bits that holds i
-        and ``action_t[j]`` for every transformation t and every j in it. It
-        counts only when no action in it is ``None``: then a state with
-        every bit of C(i) set keeps them all set through any step, bit i
-        never clears, and no extension of the state is accepted.
-        ``closures`` maps bit i (as ``1 << i``) to the mask of C(i);
-        ``sticky`` is the mask of those bits (0 when there is none)."""
-        plans, full = self._plans, (1 << len(self._actions[0])) - 1
-        # leaky: the rows whose closure reaches None. First the zero rows,
-        # which some transformation neither keeps nor copies into: the
-        # zero bits of its step of the all-ones state...
-        leaky = 0
-        for t in range(len(plans)):
-            leaky |= full ^ self.step(t, full)
-        # ...then, until none is added, every row that copies a leaky row
-        while True:
-            wider = leaky
-            for t in range(len(plans)):
-                wider |= self.step(t, leaky)
-            if wider == leaky:
-                break
-            leaky = wider
-        # every other row copies only rows that are not leaky either; only
-        # its moved rows lead anywhere new
-        sources: Dict[int, set] = {}
-        for (fixed, _, _), actions in zip(plans, self._actions):
-            moved = full & ~fixed & ~leaky
+        The closure C(i) of row i is the smallest set of rows that holds i
+        and ``action_t[j]`` for every transformation t and every j in it.
+        A selected row is absorbing when its closure reaches no zero row:
+        then a state with every bit of C(i) set keeps them all set, and no
+        extension of it is accepted. ``closures`` maps each absorbing row i
+        (as ``1 << i``) to the mask of C(i); ``sticky`` is the mask of
+        those rows. One pass finds the zero rows (the bits each step clears
+        from the all-ones state) and what every other moved row copies; one
+        walk from each selected row stops at the first zero row it meets."""
+        full, zero = (1 << len(self._actions[0])) - 1, 0
+        sources: Dict[int, list] = {}
+        for t, ((fixed, _, _), actions) in enumerate(zip(self._plans, self._actions)):
+            zeroed = full ^ self.step(t, full)
+            zero |= zeroed
+            moved = full & ~fixed & ~zeroed
             while moved:
                 low = moved & -moved
                 moved ^= low
                 i = low.bit_length() - 1
-                sources.setdefault(i, set()).add(actions[i])
+                sources.setdefault(i, []).append(actions[i])
         closures: Dict[int, int] = {}
-        union = self._union_mask & ~leaky
+        union = self._union_mask & ~zero
         while union:
             low = union & -union
             union ^= low
-            seen = {low.bit_length() - 1}
-            todo = list(seen)
+            seen, todo = low, [low.bit_length() - 1]
             while todo:
-                reach = sources.get(todo.pop())
-                if reach:
-                    todo.extend(reach - seen)
-                    seen |= reach
-            closures[low] = sum(1 << j for j in seen)
+                i = todo.pop()
+                if zero >> i & 1:
+                    break
+                for j in sources.get(i, ()):
+                    if not seen >> j & 1:
+                        seen |= 1 << j
+                        todo.append(j)
+            else:
+                closures[low] = seen
         return sum(closures), closures
 
     def advance(self, dist: Dict) -> Tuple[Dict, int]:
@@ -516,7 +506,10 @@ def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistributi
     is made. The state test covers only the levels built here, so not the
     last level ``m_counts`` counts, which is never built. It is a backstop,
     not a memory bound: a level that large needs many GB, which memory
-    normally runs out of first.
+    normally runs out of first. Each level after the first with no live
+    state still carries an exact dead count of about level·log2(m) bits,
+    so iterating L levels costs O(L²) bit work; ``m_counts`` stops at the
+    first level with no live state.
     """
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")

@@ -137,8 +137,6 @@ def count_dominating_sets(g: Graph, k: int) -> int:
     if k > g.n:
         return 0
     check_subset_bound(g, k)
-    if k == 0:
-        return 1 if g.n == 0 else 0
     closed = [g.adj[u] | 1 << u for u in range(g.n)]
     full = g.full_mask
     count = 0
@@ -149,6 +147,20 @@ def count_dominating_sets(g: Graph, k: int) -> int:
         if covered == full:
             count += 1
     return count
+
+
+def _header(fields, kind: str, line: str, lineno: int) -> Tuple[int, int]:
+    """The vertex and edge counts of a header line, whose two count fields
+    lead *fields*; *kind* names the line in the refusal of a non-integer."""
+    try:
+        n, declared = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise GraphSyntaxError(f"non-integer {kind} field in {line!r}", lineno) from None
+    if n < 1:
+        raise GraphSyntaxError(f"vertex count must be >= 1, got {n}", lineno)
+    if declared < 0:
+        raise GraphSyntaxError(f"edge count must be >= 0, got {declared}", lineno)
+    return n, declared
 
 
 def parse_edgelist(text: str) -> Graph:
@@ -168,15 +180,7 @@ def parse_edgelist(text: str) -> Graph:
         if n is None:
             if len(parts) != 2:
                 raise GraphSyntaxError(f"expected header 'n m', got {line.strip()!r}", lineno)
-            try:
-                n, declared = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphSyntaxError(f"non-integer header field in {line.strip()!r}",
-                                       lineno) from None
-            if n < 1:
-                raise GraphSyntaxError(f"vertex count must be >= 1, got {n}", lineno)
-            if declared < 0:
-                raise GraphSyntaxError(f"edge count must be >= 0, got {declared}", lineno)
+            n, _ = _header(parts, "header", line.strip(), lineno)
             continue
         if len(parts) != 2:
             raise GraphSyntaxError(f"expected edge 'u v', got {line.strip()!r}", lineno)
@@ -211,14 +215,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise GraphSyntaxError("duplicate problem line", lineno)
             if len(parts) != 4 or parts[1] != "edge":
                 raise GraphSyntaxError(f"expected 'p edge n m', got {line!r}", lineno)
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise GraphSyntaxError(f"non-integer problem field in {line!r}", lineno) from None
-            if n < 1:
-                raise GraphSyntaxError(f"vertex count must be >= 1, got {n}", lineno)
-            if declared < 0:
-                raise GraphSyntaxError(f"edge count must be >= 0, got {declared}", lineno)
+            n, declared = _header(parts[2:], "problem", line, lineno)
         elif parts[0] == "e":
             if n is None:
                 raise GraphSyntaxError("edge line before problem line", lineno)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the package's own data structures:
 ``naive_dominating_count`` works on plain sets,
 ``inclusion_exclusion_dominating_counts`` on plain int bitmasks,
-``dense_product`` on raw tuples and ``Reference`` on plain ``Fraction``
-tuples, so they cannot inherit a bug from the code under test.
+``dense_product`` on raw tuples, ``Reference`` on plain ``Fraction``
+tuples and ``absorbing_closures`` on plain sets of rows, so they cannot
+inherit a bug from the code under test.
 """
 
 from __future__ import annotations
@@ -142,6 +143,29 @@ def random_functional_matrix(rng, d: int, rows: Optional[int] = None) -> Functio
     """*rows* x d row actions (d x d by default), each a random column or zero."""
     choices = [None] + list(range(d))
     return FunctionalMatrix(tuple(rng.choice(choices) for _ in range(rows or d)), d)
+
+
+def absorbing_closures(instance: VestInstance) -> Tuple[int, dict]:
+    """``PackedEngine._closures`` by plain reachability: from each selected
+    row, follow ``t.actions`` of every transformation t. The closure counts
+    when no ``None`` is reached; it maps ``1 << row`` to the mask of the rows
+    seen, and sticky is the mask of the rows whose closure counts."""
+    actions = [t.actions for t in instance.transformations]
+    closures = {}
+    for row in set(instance.selector.actions) - {None}:
+        seen, todo, reaches_none = {row}, [row], False
+        while todo:
+            i = todo.pop()
+            for acts in actions:
+                j = acts[i]
+                if j is None:
+                    reaches_none = True
+                elif j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        if not reaches_none:
+            closures[1 << row] = sum(1 << j for j in seen)
+    return sum(closures), closures
 
 
 class Reference:

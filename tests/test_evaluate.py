@@ -45,6 +45,7 @@ from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, StateDi
 
 from helpers import (
     Reference,
+    absorbing_closures,
     count_hashes,
     cycle_graph,
     edgeless_graph,
@@ -924,6 +925,56 @@ def test_absorbing_closures_on_random_functional_instances(semiring, reach_none)
         assert counts == m_sequence(inst, k_max, method="brute").values
     if not reach_none:
         assert absorbed >= 10
+
+
+def _oracle_instance(rng):
+    """Random row actions on d <= 8 rows: each transformation keeps most
+    rows and closes a cycle through some rows or runs a chain of them into
+    ``None``; the selector has 1-3 rows, so it is rarely square, and is
+    sometimes all zero."""
+    d = rng.randint(1, 8)
+    ts = []
+    for _ in range(rng.randint(1, 4)):
+        acts = [i if rng.random() < 0.5 else rng.choice([None, *range(d)]) for i in range(d)]
+        rows = rng.sample(range(d), rng.randint(1, d))
+        shape = rng.randrange(3)
+        if shape == 0:  # a cycle
+            for i, j in zip(rows, rows[1:] + rows[:1]):
+                acts[i] = j
+        elif shape == 1:  # a chain that ends in a zero row
+            for i, j in zip(rows, rows[1:]):
+                acts[i] = j
+            acts[rows[-1]] = None
+        ts.append(FunctionalMatrix(acts))
+    h = rng.randint(1, 3)
+    zero = rng.random() < 0.1
+    sel = FunctionalMatrix((None,) * h, d) if zero else random_functional_matrix(rng, d, h)
+    v = tuple(rng.randint(0, 1) for _ in range(d))
+    return new_instance(Semiring.GF2, v, ts, sel)
+
+
+def test_closures_match_a_plain_reachability_oracle():
+    rng = random.Random("closure-oracle")
+    absorbed = chained = 0
+    for _ in range(400):
+        inst = _oracle_instance(rng)
+        engine = engine_for(inst)
+        assert isinstance(engine, PackedEngine)
+        sticky, closures = absorbing_closures(inst)
+        assert engine._closures() == (sticky, closures)
+        # a selected row that no transformation zeroes, yet whose closure
+        # reaches a zero row through another row
+        zero = {i for t in inst.transformations for i, j in enumerate(t.actions) if j is None}
+        selected = set(inst.selector.actions) - {None}
+        absorbed += bool(sticky)
+        chained += any(1 << i not in closures for i in selected - zero)
+    assert absorbed >= 50 and chained >= 50
+    for n in range(1, 31):
+        inst = reduce_graph(random_graph(rng, n, rng.choice((0.0, 0.2, 0.5, 1.0)))).instance
+        sticky, closures = absorbing_closures(inst)
+        assert PackedEngine(inst)._closures() == (sticky, closures)
+        # exactly the chosen-twice rows absorb
+        assert len(closures) == n
 
 
 def test_parity_selector_counts_match_reference_and_brute_force():
