@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .core import Semiring, VestError
 from .documents import (
     InstanceDocument,
+    count_text,
     dumps,
     dumps_instance,
     loads_instance,
@@ -108,7 +109,7 @@ def cmd_eval(args) -> int:
     if args.json:
         _write_text(args.output, dumps(msequence_to_dict(result)))
     else:
-        lines = [f"M_{k} = {val}" for k, val in enumerate(result.values)]
+        lines = [f"M_{k} = {count_text(val)}" for k, val in enumerate(result.values)]
         _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

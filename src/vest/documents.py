@@ -3,12 +3,13 @@
 Scalars never pass through floats. Rational entries are strings ("5", or
 "-2/3" when the denominator is not 1); GF(2) entries are the ints 0 and 1.
 Counts are decimal strings, since factorials overflow the range where JSON
-numbers survive every parser. ``dumps`` writes every document: sorted keys,
-one top-level key per line, one line per item of a list of lists or
-objects (so each dense row, row-action object and count row is a line),
-everything else in one piece, trailing newline. All encoding runs in the C
-JSON encoder. The layout is a function of the data alone, so re-serializing
-a loaded document reproduces it byte for byte; any JSON layout loads.
+numbers survive every parser; ``count_text`` writes every count, exactly at
+any size. ``dumps`` writes every document: sorted keys, one top-level key
+per line, one line per item of a list of lists or objects (so each dense
+row, row-action object and count row is a line), everything else in one
+piece, trailing newline. All encoding runs in the C JSON encoder. The
+layout is a function of the data alone, so re-serializing a loaded document
+reproduces it byte for byte; any JSON layout loads.
 
 Instance documents are written at version 3. A matrix held as row
 actions, a transformation or the selector, is the object ``{"actions":
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
 from .core import (
@@ -241,6 +243,17 @@ def loads_instance(text: str) -> InstanceDocument:
     return instance_from_dict(data)
 
 
+def count_text(count: int) -> str:
+    """*count* as exact decimal text, at any size. ``str`` refuses an int of
+    more than ``sys.get_int_max_str_digits()`` digits (4,300 by default);
+    ``Decimal`` holds any int exactly and writes it without that limit, so
+    it takes over past the limit, and no interpreter setting changes."""
+    try:
+        return str(count)
+    except ValueError:
+        return str(Decimal(count))
+
+
 def msequence_to_dict(result: MSequenceResult) -> dict:
     return {
         "format": MSEQUENCE_FORMAT,
@@ -248,7 +261,7 @@ def msequence_to_dict(result: MSequenceResult) -> dict:
         "instance": result.instance_fingerprint,
         "method": result.method,
         "values": [
-            {"k": k, "m_k": str(val)} for k, val in enumerate(result.values)
+            {"k": k, "m_k": count_text(val)} for k, val in enumerate(result.values)
         ],
     }
 
@@ -263,9 +276,9 @@ def verification_to_dict(report: VerificationReport) -> dict:
         "rows": [
             {
                 "k": row.k,
-                "m_k": str(row.m_k),
-                "d_k": str(row.d_k),
-                "expected": str(row.expected),
+                "m_k": count_text(row.m_k),
+                "d_k": count_text(row.d_k),
+                "expected": count_text(row.expected),
                 "passed": row.passed,
                 "seconds": round(row.seconds, 6),
             }
@@ -283,7 +296,7 @@ def verification_to_text(report: VerificationReport) -> str:
     for row in report.rows:
         status = "ok" if row.passed else "MISMATCH"
         lines.append(
-            f"k={row.k}: M_{row.k} = {row.m_k}  D_{row.k} = {row.d_k}  "
-            f"{row.k}! * D_{row.k} = {row.expected}  [{status}] ({row.seconds:.3f}s)")
+            f"k={row.k}: M_{row.k} = {count_text(row.m_k)}  D_{row.k} = {count_text(row.d_k)}  "
+            f"{row.k}! * D_{row.k} = {count_text(row.expected)}  [{status}] ({row.seconds:.3f}s)")
     lines.append("result: " + ("all counts match" if report.all_pass else "MISMATCH FOUND"))
     return "\n".join(lines) + "\n"

@@ -15,9 +15,8 @@ Three evaluation modes share one state-walking core:
   levels up to k_max - 1 only and counts the last through
   ``accepted_mass``, so the last level, most of the states on a compiled
   instance, is never stored, and stops at the first level with no live
-  state: every count past it is 0. These per-state kernels are plain
-  loops: on CPython 3.11 ``accepted_mass`` and ``annihilates`` ran 2-3x
-  faster as loops than with ``sum``, ``any`` or ``map`` over bound methods.
+  state: every count past it is 0. Kernels are plain loops: on CPython
+  3.11 a loop made the packed ``accepted_mass`` 2-2.5x faster than ``map``.
 
 Instances with every matrix held as row actions (``FunctionalMatrix``),
 the selector included, run on a packed engine that stores each vector's
@@ -34,8 +33,9 @@ a compiled instance: a vertex chosen twice), so no extension of it is
 accepted: ``advance`` drops it and counts only its mass. ``accepted_mass``
 tests each state against the union mask pulled back through each
 transformation (one preimage mask each), one AND per successor. Every
-other instance, a dense selector included, runs on a generic engine over
-tuples of ints, scaled once from its rationals. Both engines produce
+other instance runs on a generic engine over int tuples, which reads every
+matrix, the selector included, by one rule: a matrix held as row actions
+copies entries; any other matrix is scaled int rows. Both engines give
 identical counts; the packed one is just faster. ``engine_for`` builds an
 instance's engine once and keeps it on the instance, so every evaluation
 of that instance shares it. ``check_sequence`` and ``m_k_bruteforce``
@@ -91,69 +91,61 @@ class GenericEngine:
     """State walker over int tuples; serves every instance that the packed
     engine does not take.
 
-    Over the rationals the start vector, each dense transformation and a
-    dense selector are scaled once to ints, each by the lcm of its
-    denominators, to positive multiples of the exact ones. That changes no
-    verdict: ``(cS)x``, ``S(cx)`` and ``Sx`` are zero together, and
-    ``T(cx) = cTx``. Over GF(2) entries are already the ints 0 and 1, and
-    every sum is taken mod 2: ``& 1``. Over the rationals the same
-    ``& mask`` is ``& -1``, which keeps every int as it is. A selector held
-    as row actions is read through them: a row that copies entry j is zero
-    exactly when entry j is, and a zero row always is, so the state is
-    annihilated when every copied entry is zero.
+    One rule reads every matrix, the selector included: a matrix held as
+    row actions copies entries; any other matrix is scaled int rows. Its
+    plan for ``_apply`` is ``(None, sources)``, row i copying entry
+    ``sources[i]`` and a zero row the 0 appended at -1, or ``(mask,
+    rows)``, each row a sum of products taken ``& mask``: -1 over the
+    rationals, which keeps every int, and 1 over GF(2), whose entries are
+    the ints 0 and 1. Over the rationals the start vector and each matrix
+    are scaled once, each by the lcm of its own denominators, to a positive
+    multiple of the exact one. That changes no verdict: ``(cS)x``,
+    ``S(cx)`` and ``Sx`` are zero together, and ``T(cx) = cTx``.
     """
 
-    __slots__ = ("_initial", "_rows", "_sources", "_selector", "_watched", "_mask")
+    __slots__ = ("_initial", "_plans", "_selector")
 
     def __init__(self, instance: VestInstance):
         # GF(2) entries are already ints; tuple() of a tuple is that tuple
-        gf2 = instance.semiring is Semiring.GF2
-        integral, self._mask = (tuple, 1) if gf2 else (_integral, -1)
+        integral, mask = (tuple, 1) if instance.semiring is Semiring.GF2 else (_integral, -1)
         self._initial = integral((instance.v,))[0]
-        # a transformation held as row actions copies entries: row i reads
-        # entry sources[i], and a zero row reads the 0 that step appends at -1
-        ts = instance.transformations
-        self._sources = tuple(
-            tuple(-1 if j is None else j for j in t.actions)
-            if isinstance(t, FunctionalMatrix) else None for t in ts)
-        self._rows = tuple(
-            None if isinstance(t, FunctionalMatrix) else integral(t.rows) for t in ts)
-        sel = instance.selector
-        functional = isinstance(sel, FunctionalMatrix)
-        self._watched = tuple(set(sel.actions) - {None}) if functional else None
-        self._selector = None if functional else integral(sel.rows)
+
+        def plan(matrix):
+            if isinstance(matrix, FunctionalMatrix):
+                return None, tuple(-1 if j is None else j for j in matrix.actions)
+            return mask, integral(matrix.rows)
+        self._plans = tuple(map(plan, instance.transformations))
+        self._selector = plan(instance.selector)
 
     def initial(self) -> Tuple[int, ...]:
         return self._initial
 
+    @staticmethod
+    def _apply(plan: tuple, state: Tuple[int, ...]) -> Tuple[int, ...]:
+        mask, entries = plan
+        if mask is None:
+            return tuple(map((state + (0,)).__getitem__, entries))
+        # a loop: on CPython 3.11 a list comprehension cost more per call
+        image, mul = [], operator.mul
+        for row in entries:
+            image.append(sum(map(mul, row, state)) & mask)
+        return tuple(image)
+
     def step(self, t: int, state: Tuple[int, ...]) -> Tuple[int, ...]:
-        rows = self._rows[t]
-        if rows is None:
-            return tuple(map((state + (0,)).__getitem__, self._sources[t]))
-        mask = self._mask
-        return tuple([sum(map(operator.mul, row, state)) & mask for row in rows])
+        return self._apply(self._plans[t], state)
 
     def annihilates(self, state: Tuple[int, ...]) -> bool:
-        if self._selector is None:
-            for j in self._watched:
-                if state[j]:
-                    return False
-            return True
-        mask = self._mask
-        for row in self._selector:
-            if sum(map(operator.mul, row, state)) & mask:
-                return False
-        return True
+        return not any(self._apply(self._selector, state))
 
     def advance(self, dist: Dict) -> Tuple[Dict, int]:
         """The next dedup level and its dead mass, always 0 here: every
         transformation applied to every state of *dist* (state ->
         multiplicity), collisions summed."""
-        step, transformations = self.step, range(len(self._rows))
+        apply, plans = self._apply, self._plans
         nxt: Dict = {}
         for state, mult in dist.items():
-            for t in transformations:
-                succ = step(t, state)
+            for plan in plans:
+                succ = apply(plan, state)
                 nxt[succ] = nxt.get(succ, 0) + mult
         return nxt, 0
 
@@ -170,11 +162,11 @@ class GenericEngine:
     def accepted_mass(self, dist: Dict) -> int:
         """Total multiplicity of the accepted one-step successors of *dist*
         (state -> multiplicity); the successors are tested, never stored."""
-        step, annihilates, transformations = self.step, self.annihilates, range(len(self._rows))
+        apply, plans, selector = self._apply, self._plans, self._selector
         mass = 0
         for state, mult in dist.items():
-            for t in transformations:
-                if annihilates(step(t, state)):
+            for plan in plans:
+                if not any(apply(selector, apply(plan, state))):
                     mass += mult
         return mass
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 
 from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
@@ -49,6 +50,13 @@ class CoordinateLayout:
     @property
     def dimension(self) -> int:
         return 3 * self.n + 1
+
+    @cached_property
+    def identity(self) -> tuple:
+        """Row actions of the identity, built once per layout. Every vertex
+        matrix of one compile copies them, so all their fixed rows share one
+        int object per index: CPython shares only the ints up to 256."""
+        return tuple(range(self.dimension))
 
     @property
     def constant(self) -> int:
@@ -85,7 +93,7 @@ def build_initial_vector(layout: CoordinateLayout) -> tuple:
 
 def build_vertex_action(g: Graph, layout: CoordinateLayout, u: int) -> FunctionalMatrix:
     """Row-action form of the transformation for choosing vertex u."""
-    actions = list(range(layout.dimension))
+    actions = list(layout.identity)
     for w in mask_vertices(g.closed_mask(u)):
         actions[layout.uncovered(w)] = None
     actions[layout.chosen_twice(u)] = layout.chosen_once(u)

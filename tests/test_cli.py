@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import io
 import json
 import time
@@ -101,6 +102,25 @@ def test_eval_hashes_only_for_json(p3_instance, capsys, monkeypatch):
     assert len(hashed) == 1
 
 
+def test_eval_prints_counts_past_the_int_text_limit(tmp_path, capsys):
+    # 16 identity steps and a zero selector accept all 16**k sequences;
+    # 16**3572 has 4,302 digits, past the 4,300 that str() of an int allows
+    # by default, and the CLI still prints it exactly, as text and as JSON
+    path = tmp_path / "all16.json"
+    path.write_text(json.dumps({
+        "format": "vest-instance", "version": 3, "semiring": "gf2", "d": 1, "h": 1,
+        "m": 16, "v": [1], "transformations": [{"actions": [0]}] * 16,
+        "selector": {"actions": [None]}, "metadata": {}}))
+    exact = decimal.Decimal(16 ** 3572)
+    assert main(["eval", "-i", str(path), "--kmax", "3572"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("M_3572 = ") and len(last) == len("M_3572 = ") + 4302
+    assert decimal.Decimal(last.split(" = ")[1]) == exact
+    assert main(["eval", "-i", str(path), "--kmax", "3572", "--json"]) == 0
+    values = json.loads(capsys.readouterr().out)["values"]
+    assert decimal.Decimal(values[-1]["m_k"]) == exact and values[3]["m_k"] == "4096"
+
+
 def test_eval_methods_match(p3_instance, capsys):
     assert main(["eval", "-i", p3_instance, "--kmax", "2", "--method", "brute"]) == 0
     brute = capsys.readouterr().out
@@ -148,6 +168,22 @@ def test_support_fixture_counts_are_pinned(capsys):
     assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 1, 2, 5, 12)))
     for method in ("dedup", "brute"):
         assert main(["eval", "-i", str(DATA / "q_support.json"), "--kmax", "4",
+                     "--method", method]) == 0
+        assert capsys.readouterr().out == pinned
+
+
+def test_mixed_fixture_counts_are_pinned(capsys):
+    # q_mixed.json puts a dense transformation beside row-action ones and a
+    # selector held as row actions, with a zero row, on the generic engine;
+    # CI diffs the same eval output against q_mixed_m4.txt
+    inst = loads_instance((DATA / "q_mixed.json").read_text()).instance
+    assert isinstance(inst.selector, FunctionalMatrix) and None in inst.selector.actions
+    assert not isinstance(engine_for(inst), PackedEngine)
+    assert Reference(inst).counts(4) == (0, 0, 1, 5, 21)
+    pinned = (DATA / "q_mixed_m4.txt").read_text()
+    assert pinned == "".join(f"M_{k} = {m}\n" for k, m in enumerate((0, 0, 1, 5, 21)))
+    for method in ("dedup", "brute"):
+        assert main(["eval", "-i", str(DATA / "q_mixed.json"), "--kmax", "4",
                      "--method", method]) == 0
         assert capsys.readouterr().out == pinned
 

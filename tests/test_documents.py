@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import random
@@ -26,6 +27,7 @@ from vest import (
 from vest.documents import (
     DocumentError,
     InstanceDocument,
+    count_text,
     dumps,
     dumps_instance,
     instance_to_dict,
@@ -417,6 +419,21 @@ def test_msequence_counts_are_written_as_decimal_strings():
                           (1, math.factorial(30), 0))
     data = msequence_to_dict(res)
     assert data["values"][1]["m_k"] == str(math.factorial(30))
+
+
+def test_counts_past_the_int_text_limit_are_written_exactly():
+    # str() of an int refuses more than 4,300 digits by default; 7**6000
+    # has 5,071, and every writer of counts gives all of them
+    big = 7 ** 6000
+    exact = str(decimal.Decimal(big))
+    assert len(exact) == 5071 and count_text(big) == exact and count_text(-12) == "-12"
+    res = MSequenceResult(reduce_graph(path_graph(3)).instance, "dedup", (0, big))
+    assert msequence_to_dict(res)["values"][1]["m_k"] == exact
+    report = VerificationReport(3, 2, Semiring.GF2, "dedup",
+                                (VerificationRow(9, big, big, big, True, 0.001),))
+    row = verification_to_dict(report)["rows"][0]
+    assert row["m_k"] == row["d_k"] == row["expected"] == exact
+    assert verification_to_text(report).count(exact) == 3
 
 
 def test_booleans_are_not_read_as_ints():

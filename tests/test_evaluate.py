@@ -564,7 +564,7 @@ def test_generic_engine_scales_each_matrix_once(monkeypatch):
         DenseMatrix(((Fraction(1, 2), 1), (1, Fraction(-1, 7)), (3, 1))))
     engine = GenericEngine(inst)
     assert sorted(calls) == [1, 2, 2, 3]
-    assert engine._selector == ((7, 14), (14, -2), (42, 14))
+    assert engine._selector == (-1, ((7, 14), (14, -2), (42, 14)))
     assert m_sequence(inst, 3).values == Reference(inst).counts(3)
 
 

@@ -141,6 +141,18 @@ def test_vertex_actions_move_their_closed_neighbourhood_and_chosen_slots():
             assert len(t.moved) == bin(g.closed_mask(u)).count("1") + 2
 
 
+def test_vertex_matrices_of_one_compile_share_their_fixed_row_ints():
+    # CPython shares the ints up to 256 anyway; row 297, the uncovered flag
+    # of vertex 99, is fixed in every other vertex's matrix, and each matrix
+    # holds the one int object of the layout's identity there
+    g = path_graph(100)
+    layout = coordinate_layout(g.n)
+    first, second = reduce_graph(g).instance.transformations[:2]
+    assert first.actions[297] == 297 and first.actions[297] is second.actions[297]
+    a, b = (build_vertex_action(g, layout, u) for u in (0, 1))
+    assert a.actions[297] is b.actions[297] is layout.identity[297]
+
+
 def test_compiled_instances_are_fully_functional():
     for g in (path_graph(4), complete_graph(3), edgeless_graph(2)):
         reduced = reduce_graph(g)
