@@ -4,8 +4,8 @@ Three evaluation modes share one state-walking core:
 
 * ``check_sequence`` follows a single index sequence and tests whether the
   selector annihilates the final vector.
-* ``m_k_bruteforce`` enumerates all m**k sequences of length k (shared
-  prefixes via an explicit stack) and counts the annihilated ones.
+* brute force (``m_counts`` "brute") walks every sequence of length up to
+  k_max once, depth first over shared prefixes, counting each at its length.
 * ``dedup_levels`` walks levels of state distributions, merging sequences
   that reach the same vector, so the cost scales with distinct states
   rather than with m**k. Each engine's ``advance`` makes one level from
@@ -38,8 +38,8 @@ matrix, the selector included, by one rule: a matrix held as row actions
 copies entries; any other matrix is scaled int rows. Both engines give
 identical counts; the packed one is just faster. ``engine_for`` builds an
 instance's engine once and keeps it on the instance, so every evaluation
-of that instance shares it. ``check_sequence`` and ``m_k_bruteforce``
-absorb nothing, so brute force checks the absorption of dedup.
+of that instance shares it. ``check_sequence`` and brute force absorb
+nothing, so brute force checks the absorption of dedup.
 
 Each enumeration has one cap, a module constant read when the enumeration
 is asked for, never an argument: ``DEFAULT_BRUTE_CAP`` (sequences of one
@@ -391,25 +391,18 @@ def engine_for(instance: VestInstance):
     return engine
 
 
-def _validate_sequence(instance: VestInstance, sequence: Sequence[int]) -> Tuple[int, ...]:
-    seq = tuple(sequence)
-    m = instance.m
-    for pos, t in enumerate(seq):
+def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
+    """Apply the indexed transformations in order; True when the selector
+    maps the final vector to zero. The empty sequence tests the start
+    vector itself. Each index is tested as it is applied: one that is not
+    an int in [0, m) raises ``IndexOutOfRange``."""
+    engine, m = engine_for(instance), instance.m
+    state = engine.initial()
+    for pos, t in enumerate(sequence):
         if not isinstance(t, int) or isinstance(t, bool):
             raise IndexOutOfRange(f"position {pos}: index {t!r} is not an integer")
         if not 0 <= t < m:
             raise IndexOutOfRange(f"position {pos}: index {t} outside [0, {m})")
-    return seq
-
-
-def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
-    """Apply the indexed transformations in order; True when the selector
-    maps the final vector to zero. The empty sequence tests the start
-    vector itself."""
-    seq = _validate_sequence(instance, sequence)
-    engine = engine_for(instance)
-    state = engine.initial()
-    for t in seq:
         state = engine.step(t, state)
     return engine.annihilates(state)
 
@@ -430,32 +423,6 @@ def check_brute_bound(instance: VestInstance, k: int) -> None:
         raise ResourceBound(
             f"brute force over {m}**{k} sequences of length {k} exceeds the cap "
             f"of {cap}; the dedup method may still be feasible")
-
-
-def m_k_bruteforce(instance: VestInstance, k: int) -> int:
-    """Count annihilated length-k sequences by enumerating all m**k of them.
-
-    Prefixes are shared through a depth-first walk, so the state at depth j
-    is computed once per distinct prefix rather than once per sequence.
-    """
-    if k < 0:
-        raise NegativeLength(f"sequence length must be >= 0, got {k}")
-    check_brute_bound(instance, k)
-    m = instance.m
-    engine = engine_for(instance)
-    step, annihilates = engine.step, engine.annihilates
-    count = 0
-    # stack entries: (state, depth); children pushed eagerly
-    stack = [(engine.initial(), 0)]
-    while stack:
-        state, depth = stack.pop()
-        if depth == k:
-            if annihilates(state):
-                count += 1
-            continue
-        for t in range(m):
-            stack.append((step(t, state), depth + 1))
-    return count
 
 
 @dataclass(frozen=True)
@@ -528,6 +495,14 @@ def annihilated_mass(instance: VestInstance, dist: StateDistribution) -> int:
     return engine_for(instance).annihilated_mass(dist.entries)
 
 
+def m_k_bruteforce(instance: VestInstance, k: int) -> int:
+    """Count annihilated length-k sequences by brute force: the last count
+    of ``m_counts(instance, k, "brute")``, whose walk also tests every
+    shorter sequence."""
+    *_, last = m_counts(instance, k, BRUTE)
+    return last
+
+
 def m_k_dedup(instance: VestInstance, k: int) -> int:
     """Count annihilated length-k sequences through state deduplication: the
     last count of ``m_counts``."""
@@ -568,11 +543,11 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
     engine's ``accepted_mass``, without building level k_max; the per-level
     state cap therefore covers levels 0..k_max - 1 only. At the first level
     with no live state it yields 0 for every remaining length: no extension
-    of a dead state is accepted. "brute" yields ``m_k_bruteforce`` for each
-    length. A negative *k_max* or an unknown method is refused here, at call
-    time, before any count is made; so is a *k_max* above the dedup cap for
-    "dedup", and one whose brute force passes the brute-force cap
-    (``check_brute_bound``) for "brute"."""
+    of a dead state is accepted. "brute" makes one walk (``_brute_counts``),
+    all of it on the first ``next``. A negative *k_max* or an unknown method
+    is refused here, at call time, before any count is made; so is a *k_max*
+    above the dedup cap for "dedup", and one whose brute force passes the
+    brute-force cap (``check_brute_bound``) for "brute"."""
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     if method == DEDUP:
@@ -580,8 +555,26 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
         return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
     if method == BRUTE:
         check_brute_bound(instance, k_max)
-        return (m_k_bruteforce(instance, k) for k in range(k_max + 1))
+        return _brute_counts(engine_for(instance), instance.m, k_max)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _brute_counts(engine, m: int, k_max: int) -> Iterator[int]:
+    """One depth-first walk over every sequence of length <= k_max, prefixes
+    shared through an explicit stack: each node is tested once and counted
+    at its depth. The whole walk runs on the first ``next``."""
+    step, annihilates = engine.step, engine.annihilates
+    counts = [0] * (k_max + 1)
+    stack = [(engine.initial(), 0)]
+    while stack:
+        state, depth = stack.pop()
+        if annihilates(state):
+            counts[depth] += 1
+        if depth < k_max:
+            depth += 1
+            for t in range(m):
+                stack.append((step(t, state), depth))
+    yield from counts
 
 
 def _dedup_counts(instance: VestInstance, levels: Iterator[StateDistribution],

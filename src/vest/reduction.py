@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from time import perf_counter
 
-from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
+from .core import (DenseMatrix, FunctionalMatrix, NegativeLength, Semiring, VestError,
+                   VestInstance, new_instance)
 from .evaluate import DEDUP, m_counts
 from .graphs import Graph, check_subset_bound, count_dominating_sets, mask_vertices
 
@@ -174,23 +175,27 @@ def run_verification(
 ) -> VerificationReport:
     """Compile *g*, count M_0..M_k_max with *evaluator* ("dedup" or
     "brute"), and compare each against k! * D_k. A row's ``seconds`` is the
-    time its M_k took.
+    time its M_k took; brute force counts every length in one walk, so its
+    row 0 holds the walk's time and every later row almost none.
 
     ``_corrupt`` deliberately zeroes the first coordinate of the compiled
     start vector. It exists as a negative control: a verification harness
     that cannot fail on a sabotaged instance proves nothing. A negative
-    *k_max* raises ``NegativeLength`` from ``m_counts`` before any row
-    exists, so zero rows never pass vacuously. A job past a cap raises
-    ``ResourceBound`` before the first count too: a brute-force *k_max*
-    past the brute-force cap, from ``m_counts``, and a dominating-set side
-    past the subset cap, from ``check_subset_bound`` at the size where
-    C(n, k) peaks.
+    *k_max* raises ``NegativeLength`` before any row exists, so zero rows
+    never pass vacuously. A dominating-set side past the subset cap raises
+    ``ResourceBound`` from ``check_subset_bound``, at the size where C(n, k)
+    peaks; both refusals come before *g* is compiled, whose memory grows
+    quadratically in n. A *k_max* past the evaluator's cap raises
+    ``ResourceBound`` from ``m_counts``, after compiling but before the
+    first count.
     """
+    if k_max < 0:
+        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
+    check_subset_bound(g, min(k_max, g.n // 2))
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])
     counts = m_counts(instance, k_max, evaluator)
-    check_subset_bound(g, min(k_max, g.n // 2))
     rows = []
     for k in range(k_max + 1):
         start = perf_counter()

@@ -362,6 +362,8 @@ def _bad_instance_documents(good_path, tmp_path):
         "action": json.dumps(dict(good, transformations=[{"actions": [True] * good["d"]}])),
         "selector_v2": json.dumps(dict(good, version=2)),
         "dense_entry": json.dumps(dict(good, v=[2] * d)),
+        "dense_rows": json.dumps(dict(good, transformations=["x"])),
+        "rational_null": json.dumps(dict(good, semiring="q", v=[None] * d)),
     }
     for i, selector in enumerate([
             {"actions": [d] + actions[1:]}, {"actions": [-1] + actions[1:]},
@@ -380,6 +382,17 @@ def test_bad_instance_documents_are_usage_errors(command, p3_instance, tmp_path,
     for path in _bad_instance_documents(p3_instance, tmp_path):
         assert main([command[0], "-i", path] + command[1:]) == 2
         _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("edge, message", [
+    ("e 1 2 3", "line 2: expected 'e u v', got 'e 1 2 3'"),
+    ("e 1 x", "line 2: non-integer endpoint in 'e 1 x'"),
+])
+def test_malformed_dimacs_edge_lines_are_usage_errors(edge, message, tmp_path, capsys):
+    path = tmp_path / "bad.col"
+    path.write_text(f"p edge 3 1\n{edge}\n")
+    assert main(["domsets", "-i", str(path), "--format", "dimacs", "--k", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # 10**12 vertices: the adjacency list alone would take 8 TB, so allocating

@@ -265,6 +265,11 @@ def test_new_instance_validation():
         new_instance(Semiring.RATIONAL, (), (t,), sel)
     with pytest.raises(NonBinaryEntry):
         new_instance(Semiring.GF2, (1, 0), (DenseMatrix(((2, 0), (0, 1))),), sel)
+    # nested tuples are not a matrix, as a transformation or as the selector
+    with pytest.raises(TypeError, match="^transformation 0 is not a matrix: tuple$"):
+        new_instance(Semiring.RATIONAL, (1, 0), (((1, 0), (0, 1)),), sel)
+    with pytest.raises(TypeError, match="^selector is not a matrix: tuple$"):
+        new_instance(Semiring.RATIONAL, (1, 0), (t,), ((1, 0),))
     # a transformation held as row actions must be d x d too
     for wrong in (FunctionalMatrix((0, 1), 3), FunctionalMatrix((0, 1, None), 2)):
         with pytest.raises(DimensionMismatch):

@@ -76,6 +76,9 @@ def test_sequence_index_validation():
         check_sequence(K1, (0, "0"))
     with pytest.raises(IndexOutOfRange):
         check_sequence(K1, (True,))
+    # False equals the valid index 0, so only the bool test refuses it
+    with pytest.raises(IndexOutOfRange, match="^position 0: index False is not an integer$"):
+        check_sequence(K1, (False,))
 
 
 def test_empty_sequence_matches_level_zero():
@@ -787,6 +790,8 @@ def test_m_counts_refuses_bad_requests_at_call_time(method):
     with pytest.raises(NegativeLength) as info:
         m_counts(inst, -1, method)
     assert isinstance(info.value, VestError) and isinstance(info.value, ValueError)
+    with pytest.raises(NegativeLength, match="^maximum length must be >= 0, got -1$"):
+        dedup_levels(inst, -1)
     with pytest.raises(ValueError):
         m_counts(inst, 2, "magic")
 
@@ -1170,6 +1175,28 @@ def test_dedup_state_cap_covers_only_the_levels_built(monkeypatch):
     assert "level 1 holds 4 distinct states" in str(info.value)
 
 
+def test_brute_force_walks_every_prefix_once(monkeypatch):
+    # m = 3, K = 3: one walk makes 3 + 9 + 27 = 39 steps and tests all 40
+    # nodes, the root included; counting each length alone made 54 steps
+    rng = random.Random(3)
+    inst = new_instance(Semiring.RATIONAL, (1, 2),
+                        tuple(DenseMatrix(((random_scalar(rng), 1), (1, random_scalar(rng))))
+                              for _ in range(3)),
+                        DenseMatrix(((1, -1),)))
+    assert isinstance(engine_for(inst), GenericEngine)
+    expected = tuple(m_counts(inst, 3))
+    calls = {"step": 0, "annihilates": 0}
+    for name in calls:
+        method = getattr(GenericEngine, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(GenericEngine, name, counted)
+    assert tuple(m_counts(inst, 3, "brute")) == expected
+    assert calls == {"step": 39, "annihilates": 40}
+
+
 def test_m_sequence_refuses_a_brute_force_job_before_counting(monkeypatch):
     # 20000**2 sequences exceed the brute-force cap: m_sequence, which
     # needs every length, refuses the job before the first count
@@ -1178,6 +1205,7 @@ def test_m_sequence_refuses_a_brute_force_job_before_counting(monkeypatch):
     counted = []
     monkeypatch.setattr(vest.evaluate, "m_k_bruteforce",
                         lambda instance, k: counted.append(k))
+    monkeypatch.setattr(vest.evaluate, "engine_for", counted.append)
     with pytest.raises(ResourceBound):
         m_sequence(inst, 2, method="brute")
     start = time.perf_counter()

@@ -240,6 +240,7 @@ def test_run_verification_refuses_a_subset_job_past_the_cap_before_counting(monk
     counted = []
     monkeypatch.setattr(vest.evaluate, "annihilated_mass", lambda *args: counted.append(args))
     monkeypatch.setattr(vest.evaluate, "m_k_bruteforce", lambda *args: counted.append(args))
+    monkeypatch.setattr(vest.evaluate, "engine_for", lambda *args: counted.append(args))
     monkeypatch.setattr(vest.reduction, "count_dominating_sets",
                         lambda *args: counted.append(args))
     for evaluator in ("dedup", "brute"):
@@ -248,3 +249,17 @@ def test_run_verification_refuses_a_subset_job_past_the_cap_before_counting(monk
                 run_verification(g, k_max, evaluator=evaluator)
             assert "size-3 sets in a 6-vertex graph" in str(info.value)
     assert counted == []
+
+
+def test_run_verification_refuses_before_compiling(monkeypatch):
+    # compile memory grows quadratically in n, so a job that the graph
+    # alone refuses is refused before the graph is compiled
+    def compile_graph(*args):
+        raise AssertionError("the graph was compiled before the refusal")
+    monkeypatch.setattr(vest.reduction, "reduce_graph", compile_graph)
+    monkeypatch.setattr(vest.graphs, "DEFAULT_SUBSET_CAP", 19)  # C(6, 3) = 20
+    for evaluator in ("dedup", "brute"):
+        with pytest.raises(NegativeLength, match="^maximum length must be >= 0, got -1$"):
+            run_verification(path_graph(6), -1, evaluator=evaluator)
+        with pytest.raises(ResourceBound, match="size-3 sets in a 6-vertex graph"):
+            run_verification(path_graph(6), 3, evaluator=evaluator)
