@@ -236,12 +236,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             return args.func(args)
         except (VestError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            message = str(exc)
         except MemoryError:
-            print("error: out of memory: the input asks for more than can be allocated",
-                  file=sys.stderr)
-            return 2
+            message = "out of memory: the input asks for more than can be allocated"
+    # printed after the handler: its traceback, and every frame of the failed
+    # call that it holds, is freed by then
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

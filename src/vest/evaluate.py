@@ -32,14 +32,16 @@ zero row; a state that holds that whole closure keeps the row nonzero (in
 a compiled instance: a vertex chosen twice), so no extension of it is
 accepted: ``advance`` drops it and counts only its mass. ``accepted_mass``
 tests each state against the union mask pulled back through each
-transformation (one preimage mask each), one AND per successor. Every
-other instance runs on a generic engine over int tuples, which reads every
-matrix, the selector included, by one rule: a matrix held as row actions
-copies entries; any other matrix is scaled int rows. Both engines give
-identical counts; the packed one is just faster. ``engine_for`` builds an
-instance's engine once and keeps it on the instance, so every evaluation
-of that instance shares it. ``check_sequence`` and brute force absorb
-nothing, so brute force checks the absorption of dedup.
+transformation (one preimage mask each), one AND per successor. One lazy
+pass pulls the selector back and gives both the closures and the preimage
+masks (``PackedEngine._pull_selector_back``). Every other instance runs on
+a generic engine over int tuples, which reads every matrix, the selector
+included, by one rule: a matrix held as row actions copies entries; any
+other matrix is scaled int rows. Both engines give identical counts; the
+packed one is just faster. ``engine_for`` builds an instance's engine once
+and keeps it on the instance, so every evaluation of that instance shares
+it. ``check_sequence`` and brute force absorb nothing, so brute force
+checks the absorption of dedup.
 
 Each enumeration has one cap, a module constant read when the enumeration
 is asked for, never an argument: ``DEFAULT_BRUTE_CAP`` (sequences of one
@@ -211,16 +213,17 @@ class PackedEngine:
     instance, one with a dense transformation or a dense selector, raises
     ``ValueError``, and ``engine_for`` gives it a ``GenericEngine``.
 
-    A selected row is absorbing when its closure reaches no zero row
-    (``_closures``): it can never clear once that whole closure is set, so
-    ``advance`` drops every such successor and returns its mass as dead
-    mass: on a compiled graph level j keeps exactly C(n, j) live states.
-    The closures are built on the first ``advance``, so building an engine
-    and checking sequences never pay for them.
+    A selected row is absorbing when its closure reaches no zero row: it
+    can never clear once that whole closure is set, so ``advance`` drops
+    every such successor and returns its mass as dead mass: on a compiled
+    graph level j keeps exactly C(n, j) live states. The closures and the
+    preimage masks of ``accepted_mass`` come from one pull-back of the
+    selector (``_pull_selector_back``), made on the first ``advance`` or
+    ``accepted_mass``, so building an engine and checking sequences never
+    pay for it.
     """
 
-    __slots__ = ("_plans", "_initial", "_union_mask", "_actions", "_absorbing",
-                 "_preimages")
+    __slots__ = ("_plans", "_initial", "_union_mask", "_actions", "_pulled")
 
     def __init__(self, instance: VestInstance):
         selector, transformations = instance.selector, instance.transformations
@@ -236,11 +239,9 @@ class PackedEngine:
         for i in compress(range(instance.d), instance.v):
             initial |= 1 << i
         self._initial = initial
-        # closures and preimages are left to their first use: checks never
-        # need them
+        # the pull-back is left to its first use: checks never need it
         self._actions = tuple(t.actions for t in transformations)
-        self._absorbing = None
-        self._preimages = None
+        self._pulled = None
 
     def initial(self) -> int:
         return self._initial
@@ -267,8 +268,9 @@ class PackedEngine:
                 mass += mult
         return mass
 
-    def _closures(self) -> Tuple[int, Dict[int, int]]:
-        """Closures of the selector's absorbing rows, as (sticky, closures).
+    def _pull_selector_back(self) -> Tuple[int, Dict[int, int], Tuple[int, ...]]:
+        """The selector pulled back through the transformations, as
+        (sticky, closures, preimages).
 
         The closure C(i) of row i is the smallest set of rows that holds i
         and ``action_t[j]`` for every transformation t and every j in it.
@@ -276,25 +278,33 @@ class PackedEngine:
         then a state with every bit of C(i) set keeps them all set, and no
         extension of it is accepted. ``closures`` maps each absorbing row i
         (as ``1 << i``) to the mask of C(i); ``sticky`` is the mask of
-        those rows. One pass finds the zero rows (the bits each step clears
-        from the all-ones state) and what every other moved row copies; one
-        walk from each selected row stops at the first zero row it meets."""
-        full, zero = (1 << len(self._actions[0])) - 1, 0
+        those rows. ``step(t, state)`` meets the union mask exactly when
+        ``state & preimages[t]`` is nonzero. One pass finds the zero rows
+        (the bits each step clears from the all-ones state), what every
+        other moved row copies, and each preimage: the selected fixed rows
+        and the source of each selected moved row. One walk from each
+        selected row then stops at the first zero row it meets."""
+        full, zero, union = (1 << len(self._actions[0])) - 1, 0, self._union_mask
         sources: Dict[int, list] = {}
+        preimages = []
         for t, ((fixed, _, _), actions) in enumerate(zip(self._plans, self._actions)):
             zeroed = full ^ self.step(t, full)
             zero |= zeroed
+            preimage = union & fixed
             moved = full & ~fixed & ~zeroed
             while moved:
                 low = moved & -moved
                 moved ^= low
                 i = low.bit_length() - 1
                 sources.setdefault(i, []).append(actions[i])
+                if union & low:
+                    preimage |= 1 << actions[i]
+            preimages.append(preimage)
         closures: Dict[int, int] = {}
-        union = self._union_mask & ~zero
-        while union:
-            low = union & -union
-            union ^= low
+        selected = union & ~zero
+        while selected:
+            low = selected & -selected
+            selected ^= low
             seen, todo = low, [low.bit_length() - 1]
             while todo:
                 i = todo.pop()
@@ -306,7 +316,7 @@ class PackedEngine:
                         todo.append(j)
             else:
                 closures[low] = seen
-        return sum(closures), closures
+        return sum(closures), closures, tuple(preimages)
 
     def advance(self, dist: Dict) -> Tuple[Dict, int]:
         """The next dedup level and the mass that died on the way: every
@@ -318,9 +328,9 @@ class PackedEngine:
         The body of ``step`` runs inline: a call per successor made the
         compiled-dedup benchmark's ``solve_s`` 8% slower (10 of 10
         alternating pairs of 40 s runs, 2 vCPU, Python 3.11)."""
-        if self._absorbing is None:
-            self._absorbing = self._closures()
-        sticky, closures = self._absorbing
+        if self._pulled is None:
+            self._pulled = self._pull_selector_back()
+        sticky, closures, _ = self._pulled
         plans = self._plans
         nxt: Dict = {}
         get = nxt.get
@@ -344,31 +354,14 @@ class PackedEngine:
                     nxt[out] = get(out, 0) + mult
         return nxt, dead_mass
 
-    def _pull_back(self) -> Tuple[int, ...]:
-        """The union mask pulled back through each transformation t:
-        ``step(t, state)`` meets the union mask exactly when ``state &
-        preimages[t]`` is nonzero.
-
-        Each shift group moves its source bits injectively, so the mask
-        pulls back through a group by the opposite shift; the preimage ORs
-        the fixed rows and every group."""
-        union, preimages = self._union_mask, []
-        for fixed, lefts, rights in self._plans:
-            out = union & fixed
-            for source, shift in lefts:
-                out |= (union >> shift) & source
-            for source, shift in rights:
-                out |= (union << shift) & source
-            preimages.append(out)
-        return tuple(preimages)
-
     def accepted_mass(self, dist: Dict) -> int:
         """Total multiplicity of the accepted one-step successors of *dist*
         (state -> multiplicity), counted without making them: through the
-        selector's preimages (``_pull_back``), built on the first call."""
-        if self._preimages is None:
-            self._preimages = self._pull_back()
-        preimages = self._preimages
+        selector's preimages (``_pull_selector_back``), built with the
+        absorbing closures on the first call or the first ``advance``."""
+        if self._pulled is None:
+            self._pulled = self._pull_selector_back()
+        preimages = self._pulled[2]
         mass = 0
         for state, mult in dist.items():
             for union in preimages:
@@ -407,12 +400,13 @@ def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
     return engine.annihilates(state)
 
 
-def check_brute_bound(instance: VestInstance, k: int) -> None:
+def check_brute_bound(m: int, k: int) -> None:
     """Raise ``ResourceBound`` when brute force over the length-k sequences
-    passes ``DEFAULT_BRUTE_CAP``, read at each call. A bound that admits k
-    admits every shorter length, so a caller that counts every length up to
-    k tests k alone, before counting any."""
-    m, cap = instance.m, DEFAULT_BRUTE_CAP
+    of m transformations passes ``DEFAULT_BRUTE_CAP``, read at each call.
+    A bound that admits k admits every shorter length, so a caller that
+    counts every length up to k tests k alone, before counting any; it
+    needs no instance, so a graph is tested before it is compiled."""
+    cap = DEFAULT_BRUTE_CAP
     # Each sequence walks k steps, so k itself is held to the cap too: with
     # m=1 there is one sequence for every k. m >= 2**(b - 1) for its bit
     # length b, so the middle test refuses a huge k before m**k is ever
@@ -554,7 +548,7 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
         _check_dedup_length(k_max)
         return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
     if method == BRUTE:
-        check_brute_bound(instance, k_max)
+        check_brute_bound(instance.m, k_max)
         return _brute_counts(engine_for(instance), instance.m, k_max)
     raise ValueError(f"unknown method {method!r}")
 

@@ -34,7 +34,7 @@ from time import perf_counter
 
 from .core import (DenseMatrix, FunctionalMatrix, NegativeLength, Semiring, VestError,
                    VestInstance, new_instance)
-from .evaluate import DEDUP, m_counts
+from .evaluate import BRUTE, DEDUP, check_brute_bound, m_counts
 from .graphs import Graph, check_subset_bound, count_dominating_sets, mask_vertices
 
 
@@ -184,14 +184,17 @@ def run_verification(
     *k_max* raises ``NegativeLength`` before any row exists, so zero rows
     never pass vacuously. A dominating-set side past the subset cap raises
     ``ResourceBound`` from ``check_subset_bound``, at the size where C(n, k)
-    peaks; both refusals come before *g* is compiled, whose memory grows
-    quadratically in n. A *k_max* past the evaluator's cap raises
-    ``ResourceBound`` from ``m_counts``, after compiling but before the
-    first count.
+    peaks, and a brute-force job past the brute cap raises it from
+    ``check_brute_bound``, m being n; these refusals come before *g* is
+    compiled, whose memory grows quadratically in n. A *k_max* past the
+    dedup cap raises ``ResourceBound`` from ``m_counts``, after compiling
+    but before the first count.
     """
     if k_max < 0:
         raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
     check_subset_bound(g, min(k_max, g.n // 2))
+    if evaluator == BRUTE:
+        check_brute_bound(g.n, k_max)
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])

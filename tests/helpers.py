@@ -4,8 +4,8 @@ The oracles here deliberately avoid the package's own data structures:
 ``naive_dominating_count`` works on plain sets,
 ``inclusion_exclusion_dominating_counts`` on plain int bitmasks,
 ``dense_product`` on raw tuples, ``Reference`` on plain ``Fraction``
-tuples and ``absorbing_closures`` on plain sets of rows, so they cannot
-inherit a bug from the code under test.
+tuples, and ``absorbing_closures`` and ``selector_preimages`` on plain sets
+of rows, so they cannot inherit a bug from the code under test.
 """
 
 from __future__ import annotations
@@ -146,10 +146,11 @@ def random_functional_matrix(rng, d: int, rows: Optional[int] = None) -> Functio
 
 
 def absorbing_closures(instance: VestInstance) -> Tuple[int, dict]:
-    """``PackedEngine._closures`` by plain reachability: from each selected
-    row, follow ``t.actions`` of every transformation t. The closure counts
-    when no ``None`` is reached; it maps ``1 << row`` to the mask of the rows
-    seen, and sticky is the mask of the rows whose closure counts."""
+    """The closures of ``PackedEngine._pull_selector_back`` by plain
+    reachability: from each selected row, follow ``t.actions`` of every
+    transformation t. The closure counts when no ``None`` is reached; it
+    maps ``1 << row`` to the mask of the rows seen, and sticky is the mask
+    of the rows whose closure counts."""
     actions = [t.actions for t in instance.transformations]
     closures = {}
     for row in set(instance.selector.actions) - {None}:
@@ -166,6 +167,18 @@ def absorbing_closures(instance: VestInstance) -> Tuple[int, dict]:
         if not reaches_none:
             closures[1 << row] = sum(1 << j for j in seen)
     return sum(closures), closures
+
+
+def selector_preimages(instance: VestInstance) -> Tuple[int, ...]:
+    """The preimages of ``PackedEngine._pull_selector_back`` from plain sets:
+    for each transformation t, the rows ``t.actions[i]``, not ``None``, over
+    the selected rows i, as a mask."""
+    selected = set(instance.selector.actions) - {None}
+    preimages = []
+    for t in instance.transformations:
+        sources = {t.actions[i] for i in selected} - {None}
+        preimages.append(sum(1 << j for j in sources))
+    return tuple(preimages)
 
 
 class Reference:

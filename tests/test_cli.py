@@ -5,13 +5,17 @@ from __future__ import annotations
 import decimal
 import io
 import json
+import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 
+import vest.cli
 import vest.graphs
-from vest import FunctionalMatrix, Semiring, instance_fingerprint, parse_graph, reduce_graph
+from vest import (FunctionalMatrix, Semiring, VestError, instance_fingerprint, parse_graph,
+                  reduce_graph)
 from vest.cli import main
 from vest.documents import dumps_instance, loads_instance
 from vest.evaluate import PackedEngine, engine_for
@@ -393,6 +397,34 @@ def test_malformed_dimacs_edge_lines_are_usage_errors(edge, message, tmp_path, c
     path.write_text(f"p edge 3 1\n{edge}\n")
     assert main(["domsets", "-i", str(path), "--format", "dimacs", "--k", "1"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class _Held:
+    pass
+
+
+@pytest.mark.parametrize("error", [MemoryError, VestError])
+def test_error_line_is_written_once_the_failed_call_is_freed(error, p3_instance, monkeypatch):
+    # the handler's traceback holds the frames of the failed call, and all
+    # they hold: the "error:" line is written only once they are freed
+    refs, alive = [], []
+
+    def m_sequence(*args, **kwargs):
+        held = _Held()
+        refs.append(weakref.ref(held))
+        raise error("no room for the level")
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            alive.append(refs[0]() is not None)
+            return super().write(text)
+
+    monkeypatch.setattr(vest.cli, "m_sequence", m_sequence)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["eval", "-i", p3_instance, "--kmax", "2"]) == 2
+    assert alive and not any(alive)
+    err = sys.stderr.getvalue()
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 # 10**12 vertices: the adjacency list alone would take 8 TB, so allocating

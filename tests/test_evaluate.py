@@ -55,6 +55,7 @@ from helpers import (
     random_graph,
     random_rational_instance,
     random_scalar,
+    selector_preimages,
 )
 
 # single isolated vertex, compiled: accepts exactly the sequence (0)
@@ -136,14 +137,12 @@ def test_bruteforce_cap_is_exact_and_refuses_huge_k_at_once(monkeypatch):
 
 def test_brute_bound_refuses_exactly_the_jobs_past_the_cap(monkeypatch):
     for m in (1, 2, 3, 4, 7, 8, 9, 1000, 20000):
-        inst = new_instance(Semiring.GF2, (1,), (FunctionalMatrix((0,)),) * m,
-                            DenseMatrix(((0,),)))
         for cap in (0, 1, 3, 81, 1024, 10**8):
             monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", cap)
             for k in range(64):
                 refused = k > cap or m ** k > cap
                 try:
-                    check_brute_bound(inst, k)
+                    check_brute_bound(m, k)
                 except ResourceBound:
                     assert refused, (m, k, cap)
                 else:
@@ -578,14 +577,16 @@ def _functional_rational_instance(rng):
     ts = [random_functional_matrix(rng, d) for _ in range(rng.randint(1, 3))]
     rows = [[random_scalar(rng) for _ in range(d)] for _ in range(rng.randint(1, 2))]
     # an entry outside {0, 1} keeps the selector dense, so the instance stays
-    # on the generic engine and its steps read row actions (``_sources``)
+    # on the generic engine and its steps read row actions (a ``(None,
+    # sources)`` plan)
     rows[0][rng.randrange(d)] = rng.choice((Fraction(2), Fraction(-1), Fraction(1, 2)))
     return new_instance(Semiring.RATIONAL, v, ts, DenseMatrix(rows))
 
 
 def _dense_step_action_selector_instance(rng):
-    # a selector held as row actions (``_watched``) beside one dense
-    # transformation, which keeps the instance on the generic engine
+    # a selector held as row actions, which the generic engine reads by the
+    # plan of a transformation, beside one dense transformation, which keeps
+    # the instance on the generic engine
     d = rng.randint(2, 5)
     v = [random_scalar(rng) for _ in range(d)]
     dense = [[random_scalar(rng) for _ in range(d)] for _ in range(d)]
@@ -966,7 +967,7 @@ def test_closures_match_a_plain_reachability_oracle():
         engine = engine_for(inst)
         assert isinstance(engine, PackedEngine)
         sticky, closures = absorbing_closures(inst)
-        assert engine._closures() == (sticky, closures)
+        assert engine._pull_selector_back() == (sticky, closures, selector_preimages(inst))
         # a selected row that no transformation zeroes, yet whose closure
         # reaches a zero row through another row
         zero = {i for t in inst.transformations for i, j in enumerate(t.actions) if j is None}
@@ -977,7 +978,8 @@ def test_closures_match_a_plain_reachability_oracle():
     for n in range(1, 31):
         inst = reduce_graph(random_graph(rng, n, rng.choice((0.0, 0.2, 0.5, 1.0)))).instance
         sticky, closures = absorbing_closures(inst)
-        assert PackedEngine(inst)._closures() == (sticky, closures)
+        assert PackedEngine(inst)._pull_selector_back() == (
+            sticky, closures, selector_preimages(inst))
         # exactly the chosen-twice rows absorb
         assert len(closures) == n
 
@@ -1024,7 +1026,8 @@ def test_dead_start_vector_stays_level_zero():
 def _same_source_instance():
     # selector rows read bits 0 and 1; transformation 0 copies bit 2 into
     # both, two right-shift groups of one source bit, which
-    # PackedEngine._pull_back must shift back left into the preimage
+    # PackedEngine._pull_selector_back must map back to bit 2 of the
+    # preimage
     return new_instance(Semiring.GF2, (0, 0, 1),
                         (FunctionalMatrix((2, 2, 2)), FunctionalMatrix((None, 0, 1))),
                         FunctionalMatrix((0, 1), 3))
@@ -1054,7 +1057,7 @@ def test_accepted_mass_matches_the_built_next_level():
     # instance engine's), and accepted_mass of each level is the annihilated
     # mass of the level it advances to; the counts made with them match
     # brute force
-    # the same-source instance reaches the right shifts of _pull_back
+    # the same-source instance pulls two selected rows back to one source
     assert isinstance(engine_for(_same_source_instance()), PackedEngine)
     seen = dict.fromkeys(("packed", "union", "left", "right", "none", "parity", "dead",
                           "generic dense GF2", "generic dense RATIONAL",

@@ -251,6 +251,19 @@ def test_run_verification_refuses_a_subset_job_past_the_cap_before_counting(monk
     assert counted == []
 
 
+def test_run_verification_refuses_a_brute_job_past_the_cap_before_compiling(monkeypatch):
+    # brute force over 30 vertices to k = 2 walks 30**2 = 900 sequences of
+    # length 2, past a cap of 100; m = n, so the graph alone refuses the job
+    g = edgeless_graph(30)
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 100)
+    assert run_verification(g, 1, evaluator="brute").all_pass
+    def compile_graph(*args):
+        raise AssertionError("the graph was compiled before the refusal")
+    monkeypatch.setattr(vest.reduction, "reduce_graph", compile_graph)
+    with pytest.raises(ResourceBound, match="brute force over 30\\*\\*2 sequences"):
+        run_verification(g, 2, evaluator="brute")
+
+
 def test_run_verification_refuses_before_compiling(monkeypatch):
     # compile memory grows quadratically in n, so a job that the graph
     # alone refuses is refused before the graph is compiled
