@@ -9,9 +9,11 @@ Three evaluation modes share one state-walking core:
 * ``dedup_levels`` walks levels of state distributions, merging sequences
   that reach the same vector, so the cost scales with distinct states
   rather than with m**k. Each engine's ``advance`` makes one level from
-  the last, with the mass that died on the way, its ``annihilated_mass``
-  counts a level's accepted mass, and its ``accepted_mass`` counts the
-  accepted successors of a level without making them. ``m_counts`` builds
+  the last, with the mass that died on the way, and its ``accepted_mass``
+  counts the accepted successors of a level without making them; the
+  module's ``annihilated_mass`` counts a level's accepted mass through the
+  engine's ``annihilates``, its one test of a state against the selector
+  (a generic test stops at the first nonzero row). ``m_counts`` builds
   levels up to k_max - 1 only and counts the last through
   ``accepted_mass``, so the last level, most of the states on a compiled
   instance, is never stored, and stops at the first level with no live
@@ -95,11 +97,13 @@ class GenericEngine:
 
     One rule reads every matrix, the selector included: a matrix held as
     row actions copies entries; any other matrix is scaled int rows. Its
-    plan for ``_apply`` is ``(None, sources)``, row i copying entry
-    ``sources[i]`` and a zero row the 0 appended at -1, or ``(mask,
-    rows)``, each row a sum of products taken ``& mask``: -1 over the
-    rationals, which keeps every int, and 1 over GF(2), whose entries are
-    the ints 0 and 1. Over the rationals the start vector and each matrix
+    plan is ``(None, sources)``, row i copying entry ``sources[i]`` and a
+    zero row the 0 appended at -1, or ``(mask, rows)``, each row a sum of
+    products taken ``& mask``: -1 over the rationals, which keeps every
+    int, and 1 over GF(2), whose entries are the ints 0 and 1. ``_apply``
+    reads a transformation's plan and builds the image; ``annihilates``,
+    the one selector test, reads the selector's and stops at the first
+    nonzero row. Over the rationals the start vector and each matrix
     are scaled once, each by the lcm of its own denominators, to a positive
     multiple of the exact one. That changes no verdict: ``(cS)x``,
     ``S(cx)`` and ``Sx`` are zero together, and ``T(cx) = cTx``.
@@ -137,7 +141,15 @@ class GenericEngine:
         return self._apply(self._plans[t], state)
 
     def annihilates(self, state: Tuple[int, ...]) -> bool:
-        return not any(self._apply(self._selector, state))
+        # the first nonzero row decides: most rejected states fail there
+        mask, entries = self._selector
+        if mask is None:
+            return not any(map((state + (0,)).__getitem__, entries))
+        mul = operator.mul
+        for row in entries:
+            if sum(map(mul, row, state)) & mask:
+                return False
+        return True
 
     def advance(self, dist: Dict) -> Tuple[Dict, int]:
         """The next dedup level and its dead mass, always 0 here: every
@@ -151,24 +163,14 @@ class GenericEngine:
                 nxt[succ] = nxt.get(succ, 0) + mult
         return nxt, 0
 
-    def annihilated_mass(self, dist: Dict) -> int:
-        """Total multiplicity of the states of *dist* (state ->
-        multiplicity) that the selector kills."""
-        annihilates = self.annihilates
-        mass = 0
-        for state, mult in dist.items():
-            if annihilates(state):
-                mass += mult
-        return mass
-
     def accepted_mass(self, dist: Dict) -> int:
         """Total multiplicity of the accepted one-step successors of *dist*
         (state -> multiplicity); the successors are tested, never stored."""
-        apply, plans, selector = self._apply, self._plans, self._selector
+        apply, plans, annihilates = self._apply, self._plans, self.annihilates
         mass = 0
         for state, mult in dist.items():
             for plan in plans:
-                if not any(apply(selector, apply(plan, state))):
+                if annihilates(apply(plan, state)):
                     mass += mult
         return mass
 
@@ -257,16 +259,6 @@ class PackedEngine:
 
     def annihilates(self, state: int) -> bool:
         return not self._union_mask & state
-
-    def annihilated_mass(self, dist: Dict) -> int:
-        """Total multiplicity of the states of *dist* (state ->
-        multiplicity) that the selector kills."""
-        mass = 0
-        union = self._union_mask
-        for state, mult in dist.items():
-            if not state & union:
-                mass += mult
-        return mass
 
     def _pull_selector_back(self) -> Tuple[int, Dict[int, int], Tuple[int, ...]]:
         """The selector pulled back through the transformations, as
@@ -484,9 +476,14 @@ def _levels(engine, m: int, k_max: int) -> Iterator[StateDistribution]:
 
 
 def annihilated_mass(instance: VestInstance, dist: StateDistribution) -> int:
-    """Total multiplicity of states in *dist* that the selector kills,
-    counted by the instance's engine."""
-    return engine_for(instance).annihilated_mass(dist.entries)
+    """Total multiplicity of states in *dist* that the selector kills, each
+    tested by the instance engine's ``annihilates``."""
+    annihilates = engine_for(instance).annihilates
+    mass = 0
+    for state, mult in dist.entries.items():
+        if annihilates(state):
+            mass += mult
+    return mass
 
 
 def m_k_bruteforce(instance: VestInstance, k: int) -> int:

@@ -185,8 +185,9 @@ def run_verification(
     never pass vacuously. A dominating-set side past the subset cap raises
     ``ResourceBound`` from ``check_subset_bound``, at the size where C(n, k)
     peaks, and a brute-force job past the brute cap raises it from
-    ``check_brute_bound``, m being n; these refusals come before *g* is
-    compiled, whose memory grows quadratically in n. A *k_max* past the
+    ``check_brute_bound``, m being n; an unknown *evaluator* raises
+    ``ValueError``, as ``m_counts`` would. These refusals come before *g*
+    is compiled, whose memory grows quadratically in n. A *k_max* past the
     dedup cap raises ``ResourceBound`` from ``m_counts``, after compiling
     but before the first count.
     """
@@ -195,6 +196,8 @@ def run_verification(
     check_subset_bound(g, min(k_max, g.n // 2))
     if evaluator == BRUTE:
         check_brute_bound(g.n, k_max)
+    elif evaluator != DEDUP:
+        raise ValueError(f"unknown method {evaluator!r}")
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])

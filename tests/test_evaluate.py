@@ -570,6 +570,30 @@ def test_generic_engine_scales_each_matrix_once(monkeypatch):
     assert m_sequence(inst, 3).values == Reference(inst).counts(3)
 
 
+def test_generic_selector_test_stops_at_the_first_nonzero_row():
+    # a state that the first row of a dense selector rejects costs that
+    # row's products alone, not the whole image
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(other)
+            return int(self) * other
+        __rmul__ = __mul__
+
+    for semiring, top in ((Semiring.GF2, 1), (Semiring.RATIONAL, 2)):
+        inst = new_instance(semiring, (1, 0, 0), (FunctionalMatrix((0, 1, 2)),),
+                            DenseMatrix(((top, 1, 0), (0, 1, 1), (1, 0, 1))))
+        engine = GenericEngine(inst)
+        assert engine._selector[0] is not None  # the selector stayed dense
+        products.clear()
+        assert not engine.annihilates(tuple(map(Counted, (1, 0, 0))))
+        assert len(products) == 3, semiring
+        products.clear()
+        assert engine.annihilates(tuple(map(Counted, (0, 0, 0))))
+        assert len(products) == 9, semiring
+
+
 def _functional_rational_instance(rng):
     d = rng.randint(1, 5)
     v = [random_scalar(rng) for _ in range(d)]
@@ -1052,11 +1076,11 @@ def _accepted_mass_instances():
 
 
 def test_accepted_mass_matches_the_built_next_level():
-    # on both engines, annihilated_mass of every level is the mass of its
-    # states that annihilates accepts (vest.annihilated_mass is the
-    # instance engine's), and accepted_mass of each level is the annihilated
-    # mass of the level it advances to; the counts made with them match
-    # brute force
+    # on both engines, accepted_mass of each level is the mass of the
+    # states of the level it advances to that annihilates accepts, and the
+    # two engines accept the same mass on every level; vest.annihilated_mass
+    # of every level is that mass on the instance's engine (the packed one
+    # where it qualifies); the counts made with them match brute force
     # the same-source instance pulls two selected rows back to one source
     assert isinstance(engine_for(_same_source_instance()), PackedEngine)
     seen = dict.fromkeys(("packed", "union", "left", "right", "none", "parity", "dead",
@@ -1079,17 +1103,17 @@ def test_accepted_mass_matches_the_built_next_level():
         seen[f"generic {form} {inst.semiring.name}"] += 1
         k_max = 4
         dists = [{engine.initial(): 1} for engine in engines]
+        def accepted(engine, dist):
+            return sum(mult for state, mult in dist.items() if engine.annihilates(state))
         for level in range(k_max + 1):
-            for engine, dist in zip(engines, dists):
-                assert engine.annihilated_mass(dist) == sum(
-                    mult for state, mult in dist.items() if engine.annihilates(state))
-            assert annihilated_mass(inst, StateDistribution(level, dists[0])) == \
-                engines[0].annihilated_mass(dists[0])
+            masses = [accepted(engine, dist) for engine, dist in zip(engines, dists)]
+            assert masses[0] == masses[1]
+            assert annihilated_mass(inst, StateDistribution(level, dists[0])) == masses[0]
             if level == k_max:
                 break
             for pos, (engine, dist) in enumerate(zip(engines, dists)):
                 nxt, _ = engine.advance(dist)
-                assert engine.accepted_mass(dist) == engine.annihilated_mass(nxt)
+                assert engine.accepted_mass(dist) == accepted(engine, nxt)
                 dists[pos] = nxt
             # the packed level dropped dead states
             seen["dead"] += len(dists[0]) < len(dists[1])

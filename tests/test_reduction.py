@@ -276,3 +276,5 @@ def test_run_verification_refuses_before_compiling(monkeypatch):
             run_verification(path_graph(6), -1, evaluator=evaluator)
         with pytest.raises(ResourceBound, match="size-3 sets in a 6-vertex graph"):
             run_verification(path_graph(6), 3, evaluator=evaluator)
+    with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
+        run_verification(path_graph(6), 1, evaluator="bogus")
