@@ -10,8 +10,11 @@ as a tuple of row actions. ``new_instance`` is the one place that picks a
 matrix's stored form, by one rule for every transformation and the
 selector in both semirings: a matrix that qualifies as row actions is held
 only as a ``FunctionalMatrix``, any other one as canonical dense rows.
-Everything here is immutable and pure, so values can be shared freely
-across workers.
+Rows that are already canonical (all int 0/1 over GF(2), all exactly
+``Fraction`` over the rationals) are taken as they are after one C-level
+test per row, and a dense matrix made only of such rows is held as the
+given object. Everything here is immutable and pure, so values can be
+shared freely across workers.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ _GF2 = Semiring.GF2
 
 
 _INT_ONLY = frozenset((int,))
+_FRACTION_ONLY = frozenset((Fraction,))
 
 
 def is_gf2_row(row: Sequence) -> bool:
@@ -107,12 +111,17 @@ def is_gf2_row(row: Sequence) -> bool:
 
 
 def canon_vector(semiring: Semiring, entries: Iterable) -> Vector:
-    """Canonicalize every entry; see ``Semiring.canon``. A GF(2) row of int
-    0s and 1s is returned as it is, with no per-entry pass."""
+    """Canonicalize every entry; see ``Semiring.canon``. A row that is
+    already canonical is returned as it is, with no per-entry pass: over
+    GF(2) a row of int 0s and 1s, over the rationals a row whose entries are
+    all exactly ``Fraction`` (canonical by construction). Each is one
+    C-level test; any other row goes entry by entry."""
+    entries = tuple(entries)
     if semiring is _GF2:
-        entries = tuple(entries)
         if is_gf2_row(entries):
             return entries
+    elif set(map(type, entries)) <= _FRACTION_ONLY:
+        return entries
     return tuple(semiring.canon(e) for e in entries)
 
 
@@ -358,12 +367,15 @@ def new_instance(
 ) -> VestInstance:
     """Validate, canonicalize, and classify a raw instance description.
 
-    Every scalar is canonicalized for *semiring*. Each transformation (d x d)
-    and the selector (d columns) then get their one stored form
-    (``_stored_form``): a ``FunctionalMatrix`` is kept as given; a
-    ``DenseMatrix`` whose canonical entries are all 0 or 1, with at most one
-    1 per row, is held only as row actions; any other dense matrix is held
-    as canonical dense rows. The rule is the same in both semirings.
+    Every scalar is canonicalized for *semiring* (``canon_vector``: a row of
+    int 0/1s over GF(2), or of ``Fraction``s over the rationals, is taken as
+    it is). Each transformation (d x d) and the selector (d columns) then
+    get their one stored form (``_stored_form``): a ``FunctionalMatrix`` is
+    kept as given; a ``DenseMatrix`` whose canonical entries are all 0 or 1,
+    with at most one 1 per row, is held only as row actions; any other dense
+    matrix is held as canonical dense rows, and when its rows were canonical
+    already it is the given ``DenseMatrix`` itself. The rule is the same in
+    both semirings.
     """
     trans = tuple(transformations)
     if not trans:
@@ -382,7 +394,10 @@ def _stored_form(semiring: Semiring, matrix: Matrix, nrows: Optional[int], ncols
                  what: str) -> Matrix:
     """*matrix* checked to be *nrows* x *ncols* (any row count when *nrows*
     is None) and put in the form an instance holds it in; see
-    ``new_instance``."""
+    ``new_instance``. A dense matrix that does not qualify as row actions,
+    and whose every row ``canon_vector`` hands back as the same object, is
+    canonical already and, being immutable, is returned as given;
+    otherwise its canonical rows go into a new one."""
     if not isinstance(matrix, (DenseMatrix, FunctionalMatrix)):
         raise TypeError(f"{what} is not a matrix: {type(matrix).__name__}")
     if matrix.ncols != ncols or (nrows is not None and matrix.nrows != nrows):
@@ -391,9 +406,12 @@ def _stored_form(semiring: Semiring, matrix: Matrix, nrows: Optional[int], ncols
             f"{what} is {matrix.nrows}x{matrix.ncols}, expected {expected}")
     if isinstance(matrix, FunctionalMatrix):
         return matrix
-    rows = tuple(canon_vector(semiring, row) for row in matrix.rows)
+    given = matrix.rows
+    rows = tuple(canon_vector(semiring, row) for row in given)
     actions = _row_actions(rows)
-    return DenseMatrix(rows) if actions is None else FunctionalMatrix(actions, ncols)
+    if actions is not None:
+        return FunctionalMatrix(actions, ncols)
+    return matrix if all(map(operator.is_, rows, given)) else DenseMatrix(rows)
 
 
 def _scalars_text(entries: Iterable[Scalar]) -> bytes:

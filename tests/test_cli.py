@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import vest.cli
+import vest.evaluate
 import vest.graphs
 from vest import (FunctionalMatrix, Semiring, VestError, instance_fingerprint, parse_graph,
                   reduce_graph)
@@ -315,6 +316,18 @@ def test_huge_dedup_lengths_are_refused_at_once(p3_file, p3_instance, capsys):
         assert main(args + ["--kmax", str(10**21)]) == 2
         _assert_one_line_error(capsys)
     assert time.perf_counter() - start < 1.0
+
+
+def test_brute_force_cap_is_exact_on_both_commands(p3_file, p3_instance, capsys, monkeypatch):
+    # m = 3 under a cap of 80 sequences: length 4, with 3**4 = 81, is the
+    # first past it. A looser bound admits 4 and fails here at once, before
+    # the next test walks the 3**17 sequences it would admit at the real cap
+    monkeypatch.setattr(vest.evaluate, "DEFAULT_BRUTE_CAP", 80)
+    for args in (["eval", "-i", p3_instance], ["verify", "-i", p3_file]):
+        assert main(args + ["--method", "brute", "--kmax", "4"]) == 2
+        _assert_one_line_error(capsys)
+        assert main(args + ["--method", "brute", "--kmax", "3"]) == 0
+        capsys.readouterr()
 
 
 def test_huge_brute_force_lengths_are_refused_at_once(p3_file, p3_instance, capsys):

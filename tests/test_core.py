@@ -7,7 +7,7 @@ import hashlib
 import random
 from enum import IntEnum
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, cycle
 
 import pytest
 
@@ -16,6 +16,7 @@ from vest import (
     DimensionMismatch,
     EmptyTransformationList,
     FunctionalMatrix,
+    InstanceDocument,
     NonBinaryEntry,
     NonSquare,
     Semiring,
@@ -26,9 +27,10 @@ from vest import (
     to_functional,
 )
 from vest.core import canon_vector
+from vest.documents import dumps_instance
 from vest.evaluate import PackedEngine, engine_for
 
-from helpers import path_graph, random_graph
+from helpers import Reference, path_graph, random_graph
 
 
 def test_rational_canon_accepts_ints_fractions_strings():
@@ -346,6 +348,93 @@ def test_canon_vector():
         canon_vector(Semiring.GF2, [0, 2])
     with pytest.raises(TypeError):
         canon_vector(Semiring.GF2, [1.0, 0])
+    # a tuple of Fractions is canonical as it stands and comes back as is;
+    # any other rational row goes entry by entry and comes back as Fractions
+    q = Semiring.RATIONAL
+    fractions = (Fraction(1, 2), Fraction(-3), Fraction(0))
+    assert canon_vector(q, fractions) is fractions
+    assert canon_vector(q, list(fractions)) == fractions
+    for row in ([3, 0, -1], ["2/4", "-3", "0"], [True, False], [Fraction(1, 2), -3, "0"],
+                (Fraction(1), True)):
+        out = canon_vector(q, row)
+        assert out == tuple(q.canon(e) for e in row)
+        assert all(type(e) is Fraction for e in out)
+    for row in ([0.5], [Fraction(1, 2), 0.5]):
+        with pytest.raises(TypeError):
+            canon_vector(q, row)
+
+
+def test_rational_instances_store_only_fractions():
+    # however its entries are written, a rational instance stores every
+    # entry of v and of every dense matrix as exactly a Fraction
+    v = (1, -2, 0)
+    dense = ((2, 0, 1), (0, -1, 3), (1, 1, 0))
+    actions = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+    sel = ((1, 1, 0), (0, 3, 1))
+    writers = (int, lambda e: f"{2 * e}/2", Fraction, bool)
+    built = []
+    # one writer for every entry, then all four in turn; bool writes only
+    # the entries 0 and 1 and leaves the others ints
+    for turns in [(w,) for w in writers] + [writers]:
+        turn = cycle(turns)
+
+        def written(rows):
+            return [[w(e) if w is not bool or e in (0, 1) else e for e, w in zip(row, turn)]
+                    for row in rows]
+        inst = new_instance(Semiring.RATIONAL, written([v])[0],
+                            (DenseMatrix(written(dense)), DenseMatrix(written(actions))),
+                            DenseMatrix(written(sel)))
+        assert isinstance(inst.transformations[1], FunctionalMatrix)
+        for row in (inst.v, *inst.transformations[0].rows, *inst.selector.rows):
+            assert all(type(e) is Fraction for e in row)
+        built.append(inst)
+    assert all(inst == built[0] for inst in built)
+
+
+def test_a_canonical_dense_matrix_is_held_as_given():
+    q = Semiring.RATIONAL
+    f = Fraction
+    # no matrix here qualifies as row actions: the selector row has two 1s
+    given = DenseMatrix(((f(3), f(1)), (f(0), f(-2))))
+    sel = DenseMatrix(((f(1), f(1)),))
+    kept = new_instance(q, (f(1), f(2)), (given, FunctionalMatrix((1, 0))), sel)
+    assert kept.transformations[0] is given and kept.selector is sel
+    # the same matrices with int entries are rebuilt with Fraction entries
+    ints = DenseMatrix(((3, 1), (0, -2)))
+    int_sel = DenseMatrix(((1, 1),))
+    rebuilt = new_instance(q, (1, 2), (ints, FunctionalMatrix((1, 0))), int_sel)
+    assert rebuilt.transformations[0] is not ints and rebuilt.selector is not int_sel
+    assert rebuilt.transformations[0].rows == given.rows
+    assert all(type(e) is Fraction for e in chain.from_iterable(rebuilt.selector.rows))
+    # and the two instances are one instance
+    assert kept == rebuilt and hash(kept) == hash(rebuilt)
+    assert instance_fingerprint(kept) == instance_fingerprint(rebuilt)
+    for method in ("dedup", "brute"):
+        assert m_sequence(kept, 4, method).values == m_sequence(rebuilt, 4, method).values
+    assert m_sequence(kept, 4).values == Reference(kept).counts(4)
+    assert (dumps_instance(InstanceDocument(kept, {}))
+            == dumps_instance(InstanceDocument(rebuilt, {})))
+
+
+def test_fraction_rows_are_not_canonicalized_entry_by_entry(monkeypatch):
+    calls = []
+    canon = Semiring.canon
+
+    def counted(self, value):
+        calls.append(value)
+        return canon(self, value)
+    monkeypatch.setattr(Semiring, "canon", counted)
+    f = Fraction
+    inst = new_instance(Semiring.RATIONAL, (f(1, 2), f(-3)),
+                        (DenseMatrix(((f(1), f(2, 3)), (f(0), f(-1)))),
+                         DenseMatrix(((f(0), f(1)), (f(1), f(0))))),
+                        DenseMatrix(((f(5, 7), f(1)),)))
+    assert isinstance(inst.transformations[1], FunctionalMatrix)
+    assert calls == []
+    # the counting patch does see the per-entry path
+    new_instance(Semiring.RATIONAL, (1, f(-3)), (DenseMatrix.identity(2),),
+                 DenseMatrix(((f(5, 7), f(1)),)))
+    assert len(calls) == 6
 
 
 def test_fingerprint_digests_are_pinned():
