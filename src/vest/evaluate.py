@@ -49,7 +49,10 @@ Each enumeration has one cap, a module constant read when the enumeration
 is asked for, never an argument: ``DEFAULT_BRUTE_CAP`` (sequences of one
 brute-force length) and ``DEFAULT_DEDUP_CAP`` (dedup levels, and distinct
 states per level) here, ``vest.graphs.DEFAULT_SUBSET_CAP`` (subsets of one
-dominating-set count).
+dominating-set count). Each request is refused in one function:
+``check_count`` for a count of M_k, ``vest.graphs.check_subset_bound`` for
+a count of dominating sets; only the per-level state cap is tested as the
+levels are made.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ class PackedEngine:
             initial |= 1 << i
         self._initial = initial
         # the pull-back is left to its first use: checks never need it
-        self._actions = tuple(t.actions for t in transformations)
+        self._actions = transformations
         self._pulled = None
 
     def initial(self) -> int:
@@ -271,26 +274,26 @@ class PackedEngine:
         extension of it is accepted. ``closures`` maps each absorbing row i
         (as ``1 << i``) to the mask of C(i); ``sticky`` is the mask of
         those rows. ``step(t, state)`` meets the union mask exactly when
-        ``state & preimages[t]`` is nonzero. One pass finds the zero rows
-        (the bits each step clears from the all-ones state), what every
-        other moved row copies, and each preimage: the selected fixed rows
-        and the source of each selected moved row. One walk from each
-        selected row then stops at the first zero row it meets."""
-        full, zero, union = (1 << len(self._actions[0])) - 1, 0, self._union_mask
+        ``state & preimages[t]`` is nonzero. One pass over each
+        transformation's moved rows (``FunctionalMatrix.moved``) finds the
+        zero rows, what every other moved row copies, and each preimage: the
+        selected fixed rows and the source of each selected moved row. One
+        walk from each selected row then stops at the first zero row it
+        meets."""
+        zero, union = 0, self._union_mask
         sources: Dict[int, list] = {}
         preimages = []
-        for t, ((fixed, _, _), actions) in enumerate(zip(self._plans, self._actions)):
-            zeroed = full ^ self.step(t, full)
-            zero |= zeroed
+        for (fixed, _, _), t in zip(self._plans, self._actions):
+            actions = t.actions
             preimage = union & fixed
-            moved = full & ~fixed & ~zeroed
-            while moved:
-                low = moved & -moved
-                moved ^= low
-                i = low.bit_length() - 1
-                sources.setdefault(i, []).append(actions[i])
-                if union & low:
-                    preimage |= 1 << actions[i]
+            for i in t.moved:
+                j = actions[i]
+                if j is None:
+                    zero |= 1 << i
+                    continue
+                sources.setdefault(i, []).append(j)
+                if union >> i & 1:
+                    preimage |= 1 << j
             preimages.append(preimage)
         closures: Dict[int, int] = {}
         selected = union & ~zero
@@ -392,23 +395,36 @@ def check_sequence(instance: VestInstance, sequence: Sequence[int]) -> bool:
     return engine.annihilates(state)
 
 
-def check_brute_bound(m: int, k: int) -> None:
-    """Raise ``ResourceBound`` when brute force over the length-k sequences
-    of m transformations passes ``DEFAULT_BRUTE_CAP``, read at each call.
-    A bound that admits k admits every shorter length, so a caller that
-    counts every length up to k tests k alone, before counting any; it
-    needs no instance, so a graph is tested before it is compiled."""
-    cap = DEFAULT_BRUTE_CAP
-    # Each sequence walks k steps, so k itself is held to the cap too: with
-    # m=1 there is one sequence for every k. m >= 2**(b - 1) for its bit
-    # length b, so the middle test refuses a huge k before m**k is ever
-    # computed (m**k >= 2**(k * (b - 1)) > cap); the exact test then runs
-    # only on numbers of at most twice the bits of cap. Int arithmetic
-    # alone keeps the test cheap enough to run before every count.
-    if k > cap or k * (m.bit_length() - 1) > cap.bit_length() or m ** k > cap:
-        raise ResourceBound(
-            f"brute force over {m}**{k} sequences of length {k} exceeds the cap "
-            f"of {cap}; the dedup method may still be feasible")
+def check_count(m: int, k_max: int, method: str = DEDUP) -> None:
+    """Refuse a count of M_0..M_k_max over m transformations by *method*:
+    a negative *k_max* (``NegativeLength``), then a method not in
+    ``METHODS`` (``ValueError``), then a job past the method's cap, read at
+    each call (``ResourceBound``). It needs no instance, so a graph is
+    tested before it is compiled, m being its vertex count.
+
+    Dedup is refused past ``DEFAULT_DEDUP_CAP`` levels. Brute force is
+    refused when the sequences of length k_max pass ``DEFAULT_BRUTE_CAP``:
+    a bound that admits k_max admits every shorter length, so testing
+    k_max alone bounds the whole walk."""
+    if k_max < 0:
+        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
+    if method == DEDUP:
+        cap = DEFAULT_DEDUP_CAP
+        if k_max > cap:
+            raise ResourceBound(f"dedup to length {k_max} exceeds the cap of {cap} levels")
+    elif method == BRUTE:
+        cap = DEFAULT_BRUTE_CAP
+        # Each sequence walks k_max steps, so k_max itself is held to the
+        # cap too: with m=1 there is one sequence for every length. m >=
+        # 2**(b - 1) for its bit length b, so the middle test refuses a huge
+        # k_max before m**k_max is ever computed; the exact test then runs
+        # only on numbers of at most twice the bits of cap.
+        if k_max > cap or k_max * (m.bit_length() - 1) > cap.bit_length() or m ** k_max > cap:
+            raise ResourceBound(
+                f"brute force over {m}**{k_max} sequences of length {k_max} exceeds "
+                f"the cap of {cap}; the dedup method may still be feasible")
+    else:
+        raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True)
@@ -432,33 +448,23 @@ class StateDistribution:
         return sum(self.entries.values()) + self.dead
 
 
-def _check_dedup_length(k_max: int) -> None:
-    cap = DEFAULT_DEDUP_CAP
-    if k_max > cap:
-        raise ResourceBound(
-            f"dedup to length {k_max} exceeds the cap of {cap} levels")
-
-
 def dedup_levels(instance: VestInstance, k_max: int) -> Iterator[StateDistribution]:
     """Yield state distributions for levels 0..k_max.
 
     Level 0 is the start vector with multiplicity 1; level j+1 is the
     engine's ``advance`` of level j, whose dead mass is m times that of
     level j plus the mass that died in the step. Deterministic: iteration
-    order never affects the result. A negative *k_max* or one above
-    ``DEFAULT_DEDUP_CAP`` is refused at call time; a level of more than
-    ``DEFAULT_DEDUP_CAP`` distinct states raises ``ResourceBound`` once it
-    is made. The state test covers only the levels built here, so not the
-    last level ``m_counts`` counts, which is never built. It is a backstop,
-    not a memory bound: a level that large needs many GB, which memory
-    normally runs out of first. Each level after the first with no live
-    state still carries an exact dead count of about level·log2(m) bits,
-    so iterating L levels costs O(L²) bit work; ``m_counts`` stops at the
-    first level with no live state.
+    order never affects the result. ``check_count`` refuses the request at
+    call time; a level of more than ``DEFAULT_DEDUP_CAP`` distinct states
+    raises ``ResourceBound`` once it is made. The state test covers only
+    the levels built here, so not the last level ``m_counts`` counts, which
+    is never built. It is a backstop, not a memory bound: a level that
+    large needs many GB, which memory normally runs out of first. Each
+    level after the first with no live state still carries an exact dead
+    count of about level·log2(m) bits, so iterating L levels costs O(L²)
+    bit work; ``m_counts`` stops at the first level with no live state.
     """
-    if k_max < 0:
-        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
-    _check_dedup_length(k_max)
+    check_count(instance.m, k_max)
     return _levels(engine_for(instance), instance.m, k_max)
 
 
@@ -535,19 +541,12 @@ def m_counts(instance: VestInstance, k_max: int, method: str = DEDUP) -> Iterato
     state cap therefore covers levels 0..k_max - 1 only. At the first level
     with no live state it yields 0 for every remaining length: no extension
     of a dead state is accepted. "brute" makes one walk (``_brute_counts``),
-    all of it on the first ``next``. A negative *k_max* or an unknown method
-    is refused here, at call time, before any count is made; so is a *k_max*
-    above the dedup cap for "dedup", and one whose brute force passes the
-    brute-force cap (``check_brute_bound``) for "brute"."""
-    if k_max < 0:
-        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
+    all of it on the first ``next``. ``check_count`` refuses the request at
+    call time, before any count is made."""
+    check_count(instance.m, k_max, method)
     if method == DEDUP:
-        _check_dedup_length(k_max)
         return _dedup_counts(instance, dedup_levels(instance, max(k_max - 1, 0)), k_max)
-    if method == BRUTE:
-        check_brute_bound(instance.m, k_max)
-        return _brute_counts(engine_for(instance), instance.m, k_max)
-    raise ValueError(f"unknown method {method!r}")
+    return _brute_counts(engine_for(instance), instance.m, k_max)
 
 
 def _brute_counts(engine, m: int, k_max: int) -> Iterator[int]:

@@ -118,10 +118,13 @@ def is_dominating(g: Graph, vertices: VertexSet) -> bool:
 
 
 def check_subset_bound(g: Graph, k: int) -> None:
-    """Raise ``ResourceBound`` when counting the size-k sets of *g* passes
-    ``DEFAULT_SUBSET_CAP``, read at each call. C(n, k) grows with k up to
-    k = n // 2, so a caller that counts every size up to k tests
-    ``min(k, n // 2)`` alone, before counting any."""
+    """Refuse a count of the size-k sets of *g*: a negative k
+    (``NegativeLength``), or one whose C(n, k) subsets pass
+    ``DEFAULT_SUBSET_CAP``, read at each call (``ResourceBound``). C(n, k)
+    grows with k up to k = n // 2, so a caller that counts every size up to
+    k tests ``min(k, n // 2)`` alone, before counting any."""
+    if k < 0:
+        raise NegativeLength(f"set size must be >= 0, got {k}")
     total = math.comb(g.n, k)
     if total > DEFAULT_SUBSET_CAP:
         raise ResourceBound(
@@ -131,12 +134,10 @@ def check_subset_bound(g: Graph, k: int) -> None:
 
 def count_dominating_sets(g: Graph, k: int) -> int:
     """Number of dominating sets of size exactly k, by direct enumeration;
-    refused by ``check_subset_bound`` when it passes the subset cap."""
-    if k < 0:
-        raise NegativeLength(f"set size must be >= 0, got {k}")
+    refused by ``check_subset_bound``."""
+    check_subset_bound(g, k)
     if k > g.n:
         return 0
-    check_subset_bound(g, k)
     closed = [g.adj[u] | 1 << u for u in range(g.n)]
     full = g.full_mask
     count = 0

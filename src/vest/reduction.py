@@ -32,9 +32,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from time import perf_counter
 
-from .core import (DenseMatrix, FunctionalMatrix, NegativeLength, Semiring, VestError,
-                   VestInstance, new_instance)
-from .evaluate import BRUTE, DEDUP, check_brute_bound, m_counts
+from .core import DenseMatrix, FunctionalMatrix, Semiring, VestError, VestInstance, new_instance
+from .evaluate import DEDUP, check_count, m_counts
 from .graphs import Graph, check_subset_bound, count_dominating_sets, mask_vertices
 
 
@@ -180,24 +179,16 @@ def run_verification(
 
     ``_corrupt`` deliberately zeroes the first coordinate of the compiled
     start vector. It exists as a negative control: a verification harness
-    that cannot fail on a sabotaged instance proves nothing. A negative
-    *k_max* raises ``NegativeLength`` before any row exists, so zero rows
-    never pass vacuously. A dominating-set side past the subset cap raises
-    ``ResourceBound`` from ``check_subset_bound``, at the size where C(n, k)
-    peaks, and a brute-force job past the brute cap raises it from
-    ``check_brute_bound``, m being n; an unknown *evaluator* raises
-    ``ValueError``, as ``m_counts`` would. These refusals come before *g*
-    is compiled, whose memory grows quadratically in n. A *k_max* past the
-    dedup cap raises ``ResourceBound`` from ``m_counts``, after compiling
-    but before the first count.
+    that cannot fail on a sabotaged instance proves nothing.
+
+    The request is refused before *g* is compiled, whose memory grows
+    quadratically in n: first by ``check_count`` (m being n), so a negative
+    *k_max* leaves no row to pass vacuously, then by ``check_subset_bound``
+    at the size where C(n, k) peaks. A request that breaks both a count
+    rule and the subset cap gets the count refusal.
     """
-    if k_max < 0:
-        raise NegativeLength(f"maximum length must be >= 0, got {k_max}")
+    check_count(g.n, k_max, evaluator)
     check_subset_bound(g, min(k_max, g.n // 2))
-    if evaluator == BRUTE:
-        check_brute_bound(g.n, k_max)
-    elif evaluator != DEDUP:
-        raise ValueError(f"unknown method {evaluator!r}")
     instance = reduce_graph(g, semiring).instance
     if _corrupt:
         instance = replace(instance, v=(semiring.zero,) + instance.v[1:])

@@ -49,6 +49,16 @@ MUTANTS = (
     ("dense matrix kept without the identity test", CORE,
      "return matrix if all(map(operator.is_, rows, given)) else DenseMatrix(rows)",
      "return matrix"),
+    # the generic engine's scaling of each matrix to ints
+    ("rational rows scaled without the denominator", EVALUATE,
+     "e.numerator * (scale // e.denominator)",
+     "e.numerator * scale"),
+    ("rational scale the gcd of the denominators", EVALUATE,
+     "scale = math.lcm(",
+     "scale = math.gcd("),
+    ("GF(2) sums kept whole", EVALUATE,
+     "(tuple, 1) if instance.semiring is Semiring.GF2",
+     "(tuple, -1) if instance.semiring is Semiring.GF2"),
     # the one selector test of each engine, and the level count that uses it
     ("dense selector row test inverted", EVALUATE,
      "            if sum(map(mul, row, state)) & mask:\n                return False",
@@ -70,11 +80,11 @@ MUTANTS = (
      "                if zero >> i & 1:\n                    break",
      "                if False:\n                    break"),
     ("preimage takes every moved row", EVALUATE,
-     "                if union & low:\n                    preimage |= 1 << actions[i]",
-     "                if low:\n                    preimage |= 1 << actions[i]"),
+     "                if union >> i & 1:\n                    preimage |= 1 << j",
+     "                if True:\n                    preimage |= 1 << j"),
     ("preimage ORs the row, not its source", EVALUATE,
-     "preimage |= 1 << actions[i]",
-     "preimage |= low"),
+     "preimage |= 1 << j",
+     "preimage |= 1 << i"),
     ("preimage starts from 0", EVALUATE,
      "preimage = union & fixed",
      "preimage = 0"),
@@ -91,9 +101,13 @@ MUTANTS = (
     ("state cap off by one", EVALUATE,
      "if len(dist) > DEFAULT_DEDUP_CAP:",
      "if len(dist) >= DEFAULT_DEDUP_CAP:"),
+    # the one refusal of a count
     ("brute bound doubled", EVALUATE,
-     "or m ** k > cap:",
-     "or m ** k > cap * 2:"),
+     "or m ** k_max > cap:",
+     "or m ** k_max > cap * 2:"),
+    ("dedup length cap off by one", EVALUATE,
+     "if k_max > cap:",
+     "if k_max >= cap:"),
     ("brute walk counts only at k_max", EVALUATE,
      "        if annihilates(state):\n            counts[depth] += 1",
      "        if depth == k_max and annihilates(state):\n            counts[depth] += 1"),
@@ -108,7 +122,7 @@ MUTANTS = (
      "if not isinstance(t, int):"),
     # verification and the dominating-set side
     ("unknown evaluator compiled first", REDUCTION,
-     "    elif evaluator != DEDUP:\n        raise ValueError(f\"unknown method {evaluator!r}\")\n",
+     "    check_count(g.n, k_max, evaluator)\n",
      ""),
     ("subset bound tested below its peak", REDUCTION,
      "check_subset_bound(g, min(k_max, g.n // 2))",
@@ -116,6 +130,9 @@ MUTANTS = (
     ("expected 1 where D_k = 0", REDUCTION,
      "expected = math.factorial(k) * d_k if d_k else 0",
      "expected = math.factorial(k) * d_k if d_k else 1"),
+    ("subset bound admits a negative size", GRAPHS,
+     "    if k < 0:\n        raise NegativeLength",
+     "    if k < -1:\n        raise NegativeLength"),
     ("D_k = 1 past n", GRAPHS,
      "    if k > g.n:\n        return 0",
      "    if k > g.n:\n        return 1"),

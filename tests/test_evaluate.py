@@ -41,7 +41,7 @@ from vest import (
 )
 from vest.documents import InstanceDocument, dumps_instance, loads_instance, msequence_to_dict
 from vest.evaluate import (GenericEngine, MSequenceResult, PackedEngine, StateDistribution,
-                           check_brute_bound, engine_for)
+                           check_count, engine_for)
 
 from helpers import (
     Reference,
@@ -142,11 +142,26 @@ def test_brute_bound_refuses_exactly_the_jobs_past_the_cap(monkeypatch):
             for k in range(64):
                 refused = k > cap or m ** k > cap
                 try:
-                    check_brute_bound(m, k)
+                    check_count(m, k, "brute")
                 except ResourceBound:
                     assert refused, (m, k, cap)
                 else:
                     assert not refused, (m, k, cap)
+    # dedup is capped on the length alone, whatever m
+    for cap in (0, 1, 3, 10**8):
+        monkeypatch.setattr(vest.evaluate, "DEFAULT_DEDUP_CAP", cap)
+        for m in (1, 3, 20000):
+            check_count(m, cap, "dedup")
+            check_count(m, cap)
+            refusal = f"^dedup to length {cap + 1} exceeds the cap of {cap} levels$"
+            with pytest.raises(ResourceBound, match=refusal):
+                check_count(m, cap + 1, "dedup")
+    # a negative length comes first, then an unknown method, then the cap
+    for method in ("brute", "dedup", "magic"):
+        with pytest.raises(NegativeLength, match="^maximum length must be >= 0, got -1$"):
+            check_count(3, -1, method)
+    with pytest.raises(ValueError, match="^unknown method 'magic'$"):
+        check_count(3, 10**9, "magic")
 
 
 def test_bruteforce_cap_bounds_the_walk_length(monkeypatch):

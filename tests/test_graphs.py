@@ -11,13 +11,15 @@ from vest import (
     Graph,
     GraphSyntaxError,
     InconsistentHeader,
+    NegativeLength,
     ResourceBound,
     VertexOutOfRange,
     count_dominating_sets,
     is_dominating,
     parse_graph,
 )
-from vest.graphs import mask_vertices, parse_dimacs, parse_edgelist, vertex_mask
+from vest.graphs import (check_subset_bound, mask_vertices, parse_dimacs, parse_edgelist,
+                         vertex_mask)
 
 from helpers import (
     all_labeled_graphs,
@@ -139,8 +141,11 @@ def test_count_edge_cases():
     assert count_dominating_sets(g, 0) == 0
     assert count_dominating_sets(g, 4) == 0
     assert count_dominating_sets(g, 3) == 1
-    with pytest.raises(ValueError):
-        count_dominating_sets(g, -1)
+    for k in (-1, -10**100):
+        with pytest.raises(NegativeLength, match=f"^set size must be >= 0, got {k}$"):
+            count_dominating_sets(g, k)
+        with pytest.raises(NegativeLength):
+            check_subset_bound(g, k)
 
 
 def test_count_respects_cap(monkeypatch):

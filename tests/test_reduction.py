@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -13,6 +14,7 @@ import vest.reduction
 from vest import (
     EmptyGraph,
     FunctionalMatrix,
+    Graph,
     NegativeLength,
     ResourceBound,
     Semiring,
@@ -215,6 +217,50 @@ def test_run_verification_evaluators_agree():
             assert brute.evaluator == "brute"
 
 
+def _drop_selector_row(g, reduced):
+    sel = reduced.instance.selector  # row 0 reads vertex 0's uncovered flag
+    return dataclasses.replace(reduced.instance,
+                               selector=FunctionalMatrix(sel.actions[1:], sel.ncols))
+
+
+def _fix_chosen_twice_row(g, reduced):
+    twice = reduced.layout.chosen_twice(0)
+    actions = list(reduced.instance.transformations[0].actions)
+    actions[twice] = twice  # choosing vertex 0 again no longer shows
+    return _with_vertex_0(reduced, FunctionalMatrix(actions))
+
+
+def _drop_an_edge_of_vertex_0(g, reduced):
+    w = (g.adj[0] & -g.adj[0]).bit_length() - 1
+    edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+             if g.adj[u] >> v & 1 and (u, v) != (0, w)]
+    less = Graph.from_edges(g.n, edges)
+    return _with_vertex_0(reduced, build_vertex_action(less, reduced.layout, 0))
+
+
+def _with_vertex_0(reduced, t0):
+    inst = reduced.instance
+    return dataclasses.replace(inst, transformations=(t0, *inst.transformations[1:]))
+
+
+@pytest.mark.parametrize("corrupt", [_drop_selector_row, _fix_chosen_twice_row,
+                                     _drop_an_edge_of_vertex_0])
+def test_run_verification_fails_on_a_corrupted_compile(monkeypatch, corrupt):
+    # data controls: each compile breaks one part of the construction, and
+    # verification must notice it on every graph and by either evaluator
+    compile_graph = vest.reduction.reduce_graph
+    def corrupted(g, semiring):
+        reduced = compile_graph(g, semiring)
+        return dataclasses.replace(reduced, instance=corrupt(g, reduced))
+    for g in (path_graph(4), cycle_graph(5)):
+        for evaluator in ("dedup", "brute"):
+            assert run_verification(g, 4, evaluator=evaluator).all_pass
+            monkeypatch.setattr(vest.reduction, "reduce_graph", corrupted)
+            report = run_verification(g, 4, evaluator=evaluator)
+            monkeypatch.undo()
+            assert len(report.rows) == 5 and not report.all_pass, (g, evaluator)
+
+
 def test_run_verification_fails_on_a_corrupted_instance():
     for evaluator in ("dedup", "brute"):
         report = run_verification(path_graph(3), 3, evaluator=evaluator, _corrupt=True)
@@ -278,3 +324,10 @@ def test_run_verification_refuses_before_compiling(monkeypatch):
             run_verification(path_graph(6), 3, evaluator=evaluator)
     with pytest.raises(ValueError, match="^unknown method 'bogus'$"):
         run_verification(path_graph(6), 1, evaluator="bogus")
+    # a dedup length past the cap, like every other refusal
+    with pytest.raises(ResourceBound, match="^dedup to length 100000001 exceeds"):
+        run_verification(path_graph(3), vest.evaluate.DEFAULT_DEDUP_CAP + 1)
+    # a request that breaks both caps gets the count refusal: 30**15
+    # sequences and C(30, 15) subsets both pass 10**8
+    with pytest.raises(ResourceBound, match="^brute force over 30\\*\\*15 sequences"):
+        run_verification(edgeless_graph(30), 15, evaluator="brute")
